@@ -42,8 +42,6 @@ log = logging.getLogger("seqphoton.cli")
 COMMANDS = ("synthesize", "protocol-fidelity", "retrieval", "geometry-opt",
             "benchmark", "multiport")
 
-WORKERS_ENV_VAR = "SEQPHOTON_WORKERS"
-
 # Unit conversion factors to the canonical units (kHz for rates, nm for
 # lengths).
 _RATE_UNITS = {"Hz": 1e-3, "kHz": 1.0, "MHz": 1e3, "GHz": 1e6}
@@ -257,13 +255,12 @@ def derive_resource(constants: Constants, beta_r: float, beta_phi: float,
 
 @dataclass
 class RunConfig:
-    """One fully resolved run: command, seed/workers, and the per-command
+    """One fully resolved run: command, seed, and the per-command
     parameters in canonical units.  `resolved` is a plain mapping that can be
     fed back as a configuration file to reproduce the run."""
 
     command: str
     seed: int
-    workers: int
     outdir: str
     constants: Constants
     budget: ErrorBudget
@@ -276,25 +273,8 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _resolve_workers(flag: int | None, config_value: int) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"environment variable {WORKERS_ENV_VAR} must "
-                              f"be an integer, got {env!r}")
-    elif flag is not None:
-        workers = flag
-    else:
-        workers = config_value
-    if workers < 1:
-        raise ConfigError("worker count must be >= 1")
-    return workers
-
-
-def load_config(path: str, out: str | None = None, seed: int | None = None,
-                workers: int | None = None) -> RunConfig:
+def load_config(path: str, out: str | None = None,
+                seed: int | None = None) -> RunConfig:
     """Parse and validate a YAML configuration (or a run manifest)."""
     try:
         with open(path) as fh:
@@ -316,7 +296,6 @@ def load_config(path: str, out: str | None = None, seed: int | None = None,
         raise ConfigError(f"unknown command {command!r}; expected one of "
                           f"{COMMANDS}")
     cfg_seed = seed if seed is not None else top.integer("seed", 0)
-    cfg_workers = _resolve_workers(workers, top.integer("workers", 1))
     outdir = out if out is not None else top.string("output", "out")
 
     constants = _parse_constants(Section("constants", raw.get("constants")))
@@ -329,7 +308,6 @@ def load_config(path: str, out: str | None = None, seed: int | None = None,
     resolved = {
         "command": command,
         "seed": cfg_seed,
-        "workers": cfg_workers,
         "output": outdir,
         "constants": constants.as_dict(),
         "budget": {"beta_0": budget.beta_0, "beta_r": budget.beta_r,
@@ -337,8 +315,8 @@ def load_config(path: str, out: str | None = None, seed: int | None = None,
                    "beta_em": budget.beta_em},
         _SECTION_NAMES[command]: params,
     }
-    return RunConfig(command, cfg_seed, cfg_workers, outdir, constants,
-                     budget, params, resolved)
+    return RunConfig(command, cfg_seed, outdir, constants, budget, params,
+                     resolved)
 
 
 # Per-command section parsers.  Each returns a plain dict of canonical-unit
@@ -687,14 +665,13 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def run(config_path: str, out: str | None = None, seed: int | None = None,
-        workers: int | None = None, verbose: bool = False) -> int:
+        verbose: bool = False) -> int:
     """Execute one configured command; returns the process exit code."""
     logging.basicConfig(stream=sys.stderr,
                         level=logging.INFO if verbose else logging.WARNING,
                         format="%(name)s: %(message)s")
     try:
-        config = load_config(config_path, out=out, seed=seed,
-                             workers=workers)
+        config = load_config(config_path, out=out, seed=seed)
         os.makedirs(config.outdir, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -732,13 +709,11 @@ def main(argv=None) -> int:
                         help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="random seed (overrides the config)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help=f"worker cap (overridden by ${WORKERS_ENV_VAR})")
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
     args = parser.parse_args(argv)
     return run(args.config, out=args.out, seed=args.seed,
-               workers=args.workers, verbose=args.verbose)
+               verbose=args.verbose)
 
 
 if __name__ == "__main__":

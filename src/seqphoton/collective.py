@@ -135,6 +135,19 @@ def number_operator(basis: FockBasis, modes: tuple[int, ...]) -> np.ndarray:
     return np.diag(basis.occupations[:, list(modes)].sum(axis=1)).astype(complex)
 
 
+CHANNELS = ("rg", "rq", "rl")
+
+
+def finite_drive(values: np.ndarray, t: float) -> np.ndarray:
+    """Return the six drive coefficients unchanged; ValueError naming the
+    channel if any of them is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        channel = CHANNELS[int(np.argmin(finite)) // 2]
+        raise ValueError(f"non-finite amplitude on channel {channel} at t={t}")
+    return values
+
+
 @dataclass
 class ControlChannels:
     """Complex Rabi amplitudes per laser channel, constants or callables of t.
@@ -153,13 +166,16 @@ class ControlChannels:
     delta_rl: float = 0.0
     U: float | None = 0.0
 
-    def amplitude(self, channel: str, t: float) -> complex:
-        val = getattr(self, "omega_" + channel)
-        amp = val(t) if callable(val) else val
-        amp = complex(amp)
-        if not np.isfinite(amp.real) or not np.isfinite(amp.imag):
-            raise ValueError(f"non-finite amplitude on channel {channel} at t={t}")
-        return amp
+    def drive(self, t: float) -> np.ndarray:
+        """The six real drive coefficients at t, (Re, Im) of each channel's
+        amplitude in CHANNELS order: the weights of control_pieces."""
+        values = np.empty(2 * len(CHANNELS))
+        for k, channel in enumerate(CHANNELS):
+            val = getattr(self, "omega_" + channel)
+            amp = complex(val(t) if callable(val) else val)
+            values[2 * k] = amp.real
+            values[2 * k + 1] = amp.imag
+        return finite_drive(values, t)
 
 
 def coupling_operators(basis: FockBasis) -> dict[str, np.ndarray]:
@@ -180,36 +196,55 @@ def coupling_operators(basis: FockBasis) -> dict[str, np.ndarray]:
     return couplings
 
 
+def control_pieces(basis: FockBasis) -> np.ndarray:
+    """Hermitian drive pieces (6, dim, dim): X_c = (C_c^dag + C_c)/2 and
+    Y_c = i(C_c^dag - C_c)/2 per channel in CHANNELS order, so that the
+    drive term of H is sum_k drive[k] * pieces[k] and dH/d(drive[k]) is
+    pieces[k]."""
+    couplings = coupling_operators(basis)
+    pieces = []
+    for channel in CHANNELS:
+        C = couplings[channel]
+        Cd = C.conj().T
+        pieces.append(0.5 * (Cd + C))
+        pieces.append(0.5j * (Cd - C))
+    return np.array(pieces)
+
+
+def drift_diagonal(channels: ControlChannels, n_r: np.ndarray) -> np.ndarray:
+    """Diagonal of the drift -sum_c delta_c n_r + (U/2) n_r (n_r - 1), given
+    the total Rydberg occupation n_r of each basis state."""
+    if channels.U is None:
+        if n_r.max(initial=0) > 1:
+            raise ValueError("ideal blockade (U=None) requires no double-Rydberg states")
+        U = 0.0
+    elif not np.isfinite(channels.U):
+        raise ValueError("non-finite blockade shift U")
+    else:
+        U = channels.U
+    delta = channels.delta_rg + channels.delta_rq + channels.delta_rl
+    return -delta * n_r + 0.5 * U * n_r * (n_r - 1)
+
+
+def affine_hamiltonian(channels: ControlChannels, t: float,
+                       pieces: np.ndarray, n_r: np.ndarray) -> np.ndarray:
+    """H(t) = sum_k drive[k](t) pieces[k] + diag(drift), given the control
+    pieces and the total Rydberg occupation n_r of each basis state."""
+    dim = len(n_r)
+    H = (channels.drive(t) @ pieces.reshape(len(pieces), -1)).reshape(dim, dim)
+    H[np.diag_indices(dim)] += drift_diagonal(channels, n_r)
+    return H
+
+
 def build_hamiltonian(channels: ControlChannels, t: float,
-                      basis: FockBasis,
-                      couplings: dict[str, np.ndarray] | None = None,
-                      ) -> np.ndarray:
+                      basis: FockBasis) -> np.ndarray:
     """Rotating-frame control Hamiltonian H(t) on the truncated basis.
 
     H = sum_c Omega_c(t)/2 * C_c^dag + h.c.  - delta_c * n_r
         + (U/2) n_r (n_r - 1),   n_r = coherent + mixed Rydberg occupation.
     """
-    if couplings is None:
-        couplings = coupling_operators(basis)
-    dim = basis.dim
-    H = np.zeros((dim, dim), dtype=complex)
     n_r = basis.occupations[:, 0] + basis.occupations[:, 3]
-    for channel in ("rg", "rq", "rl"):
-        amp = channels.amplitude(channel, t)
-        delta = getattr(channels, "delta_" + channel)
-        if amp != 0.0:
-            term = 0.5 * amp * couplings[channel].conj().T
-            H += term + term.conj().T
-        if delta != 0.0:
-            H -= delta * np.diag(n_r).astype(complex)
-    if channels.U is None:
-        if n_r.max(initial=0) > 1:
-            raise ValueError("ideal blockade (U=None) requires no double-Rydberg states")
-    elif channels.U != 0.0:
-        if not np.isfinite(channels.U):
-            raise ValueError("non-finite blockade shift U")
-        H += 0.5 * channels.U * np.diag(n_r * (n_r - 1)).astype(complex)
-    return H
+    return affine_hamiltonian(channels, t, control_pieces(basis), n_r)
 
 
 def vdw_shift(geometry: ArrayGeometry, C6: float, d0: float) -> tuple[float, float]:

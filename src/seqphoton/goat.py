@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from .collective import FockBasis, coupling_operators
+from .collective import FockBasis, control_pieces
 from .mps import IsometryTarget
 
 COMPONENTS = ("rg_re", "rg_im", "rq_re", "rq_im", "rl_re", "rl_im")
@@ -110,41 +110,27 @@ def pulse_eval(params: PulseParams, t: float) -> dict[str, complex]:
     return channel_amplitudes(params, t)
 
 
-def _coupling_derivative_matrices(basis: FockBasis) -> list[np.ndarray]:
-    """dH/d(component value): 0.5(C^dag + C) for real parts and
-    0.5i(C^dag - C) for imaginary parts, per channel."""
-    couplings = coupling_operators(basis)
-    mats = []
-    for channel in ("rg", "rq", "rl"):
-        C = couplings[channel]
-        Cd = C.conj().T
-        mats.append(0.5 * (Cd + C))
-        mats.append(0.5j * (Cd - C))
-    return mats
-
-
 def propagate_with_gradient(params: PulseParams, basis: FockBasis,
                             rtol: float = 1e-9, atol: float = 1e-11,
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator U(T) and its derivatives dU/d(param) on the truncated basis.
 
     Resonant channels only (drive-frame H = sum_c v_c(t) * M_c with the
-    constant coupling matrices M_c).  Parameter packing: per component, the
-    j_max Fourier amplitudes then the base frequency; components in the
-    order of COMPONENTS.  Returns (U, dU) with dU shaped (n_params, N, N).
+    constant control pieces M_c of collective.control_pieces).  Parameter
+    packing: per component, the j_max Fourier amplitudes then the base
+    frequency; components in the order of COMPONENTS.  Returns (U, dU) with
+    dU shaped (n_params, N, N).
     """
     N = basis.dim
-    mats = _coupling_derivative_matrices(basis)
+    mats = control_pieces(basis)
+    flat = mats.reshape(N_COMP, -1)
     P = params.n_params
     jp1 = params.j_max + 1
 
     def rhs(t, y):
         Y = y.reshape(P + 1, N, N)
         vals, dv_dA, dv_dw = component_values_and_grads(params, t)
-        H = np.zeros((N, N), dtype=complex)
-        for c in range(N_COMP):
-            if vals[c] != 0.0:
-                H += vals[c] * mats[c]
+        H = (vals @ flat).reshape(N, N)
         out = np.empty_like(Y)
         U = Y[0]
         stacked = H @ Y.reshape(P + 1, N, N).transpose(1, 0, 2).reshape(N, -1)

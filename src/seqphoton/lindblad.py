@@ -17,13 +17,17 @@ column-stacking throughout.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .collective import (ControlChannels, FockBasis, TruncationSpec,
-                         build_hamiltonian, coupling_operators, mode_operators)
+                         affine_hamiltonian, control_pieces, drift_diagonal,
+                         mode_operators)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -72,24 +76,64 @@ class LindbladModel:
         return self.basis.dim if self.loss_rate > 0.0 else None
 
     def hamiltonian(self, channels: ControlChannels, t: float) -> np.ndarray:
-        H = build_hamiltonian(channels, t, self.basis, self._couplings)
-        if self.loss_rate > 0.0:
-            H = _pad(H)
-        return H
+        return affine_hamiltonian(channels, t, self.pieces, self.n_r_diag)
 
     def __post_init__(self):
-        self._couplings = coupling_operators(self.basis)
         occ = self.basis.occupations
         self.n_r_diag = (occ[:, 0] + occ[:, 3]).astype(float)
+        self.pieces = control_pieces(self.basis)
         if self.loss_rate > 0.0:
             self.jumps = [_pad(C) for C in self.jumps]
+            self.pieces = _pad(self.pieces)
             self.n_r_diag = np.append(self.n_r_diag, 0.0)
+
+    @cached_property
+    def liouvillian_pieces(self) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """Column-stacked Liouvillian pieces on one shared sparsity pattern.
+
+        Returns the pattern as a CSR matrix and data (7, nnz): data[0] is the
+        dissipator with the absorber, data[1 + k] the commutator
+        -i[pieces[k], .], so that L(t) without the diagonal drift has data
+        data[0] + drive(t) @ data[1:].  Built on first use.
+        """
+        dim = self.dim
+        n = dim * dim
+        eye = sparse.identity(dim, dtype=complex, format="csr")
+        jumps = [sparse.csr_matrix(C) for C in self.jumps]
+        loss = self.loss_rate * self.n_r_diag
+        K = sparse.diags(loss.astype(complex), format="csr")
+        dissipator = sparse.csr_matrix((n, n), dtype=complex)
+        for C in jumps:
+            K = K + C.conj().T @ C
+            dissipator = dissipator + sparse.kron(C.conj(), C)
+        dissipator = dissipator - 0.5 * (sparse.kron(eye, K)
+                                         + sparse.kron(K.T, eye))
+        if self.loss_rate > 0.0:
+            diag = np.arange(dim) * (dim + 1)      # vec index of |i><i|
+            a = self.absorber_index
+            dissipator = dissipator + sparse.csr_matrix(
+                (loss, (np.full(dim, diag[a]), diag)), shape=(n, n))
+        terms = [dissipator] + [
+            -1j * (sparse.kron(eye, P) - sparse.kron(P.T, eye))
+            for P in map(sparse.csr_matrix, self.pieces)]
+        terms = [T.tocoo() for T in terms]
+        for T in terms:
+            T.sum_duplicates()
+        keys = [T.row.astype(np.int64) * n + T.col for T in terms]
+        pattern = np.unique(np.concatenate(keys))
+        data = np.zeros((len(terms), len(pattern)), dtype=complex)
+        for k, (T, key) in enumerate(zip(terms, keys)):
+            data[k, np.searchsorted(pattern, key)] = T.data
+        rows, cols = np.divmod(pattern, n)
+        matrix = sparse.csr_matrix(
+            (data[0], cols, np.searchsorted(rows, np.arange(n + 1))),
+            shape=(n, n))
+        return matrix, data
 
 
 def _pad(M: np.ndarray) -> np.ndarray:
-    out = np.zeros((M.shape[0] + 1, M.shape[1] + 1), dtype=complex)
-    out[:-1, :-1] = M
-    return out
+    """Append a zero row and column (the absorber) to a matrix or a stack."""
+    return np.pad(M.astype(complex), [(0, 0)] * (M.ndim - 2) + [(0, 1)] * 2)
 
 
 def build_effective_model(trunc: TruncationSpec, rates: RateSpec,
@@ -126,34 +170,6 @@ def build_effective_model(trunc: TruncationSpec, rates: RateSpec,
     return LindbladModel(basis, rates, jumps, loss_rate=loss)
 
 
-def _lindblad_rhs(model: LindbladModel, channels: ControlChannels):
-    """Dense-matrix RHS of the master equation (with absorber recycling)."""
-    jumps = model.jumps
-    jump_dags = [C.conj().T for C in jumps]
-    anti = sum((Cd @ C for Cd, C in zip(jump_dags, jumps)),
-               np.zeros((model.dim, model.dim), dtype=complex))
-    loss_diag = model.loss_rate * model.n_r_diag
-    anti_diag = 0.5 * (np.real(np.diag(anti)) + loss_diag)
-    anti_off = anti - np.diag(np.diag(anti))
-    a_idx = model.absorber_index
-    dim = model.dim
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        H = model.hamiltonian(channels, t)
-        out = -1j * (H @ rho - rho @ H)
-        for C, Cd in zip(jumps, jump_dags):
-            out += C @ rho @ Cd
-        out -= 0.5 * (anti_off @ rho + rho @ anti_off)
-        out -= anti_diag[:, None] * rho
-        out -= rho * anti_diag[None, :]
-        if a_idx is not None:
-            out[a_idx, a_idx] += loss_diag @ np.diag(rho)
-        return out.ravel()
-
-    return rhs
-
-
 def propagate_rho(model: LindbladModel, channels: ControlChannels,
                   rho0: np.ndarray, T: float, t0: float = 0.0,
                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -162,15 +178,8 @@ def propagate_rho(model: LindbladModel, channels: ControlChannels,
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (model.dim, model.dim):
         raise ValueError("density matrix dimension mismatch")
-    if T == 0.0:
-        return rho0.copy()
-    sol = solve_ivp(_lindblad_rhs(model, channels), (t0, t0 + T),
-                    rho0.ravel(), method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"master-equation integration failed: {sol.message}")
-    rho = sol.y[:, -1].reshape(model.dim, model.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho
+    rho = propagate_stack(model, channels, rho0[None], T, t0, rtol, atol)[0]
+    return 0.5 * (rho + rho.conj().T)
 
 
 def liouvillian_matrix(model: LindbladModel, channels: ControlChannels,
@@ -225,43 +234,10 @@ def liouvillian_propagator(model: LindbladModel, channels: ControlChannels,
     dim = model.dim
     if dim > 40:
         raise ValueError("propagator guarded to dim <= 40")
-    if T == 0.0:
-        return Superoperator(np.eye(dim * dim, dtype=complex))
-    jumps = model.jumps
-    jump_dags = [C.conj().T for C in jumps]
-    anti = sum((Cd @ C for Cd, C in zip(jump_dags, jumps)),
-               np.zeros((dim, dim), dtype=complex))
-    loss_diag = model.loss_rate * model.n_r_diag
-    anti_diag = 0.5 * (np.real(np.diag(anti)) + loss_diag)
-    anti_off = anti - np.diag(np.diag(anti))
-    a_idx = model.absorber_index
-
-    def stacked_rhs(t, y):
-        # batch of dim^2 density matrices, one per propagator column
-        rho = np.ascontiguousarray(
-            y.reshape(dim * dim, dim * dim).T).reshape(-1, dim, dim)
-        H = model.hamiltonian(channels, t)
-        out = -1j * (H @ rho - rho @ H)
-        for C, Cd in zip(jumps, jump_dags):
-            out += C @ rho @ Cd
-        out -= 0.5 * (anti_off @ rho + rho @ anti_off)
-        out -= anti_diag[None, :, None] * rho
-        out -= rho * anti_diag[None, None, :]
-        if a_idx is not None:
-            out[:, a_idx, a_idx] += np.einsum(
-                "kii,i->k", rho, loss_diag.astype(complex))
-        return out.reshape(dim * dim, dim * dim).T.ravel()
-
-    y0 = np.eye(dim * dim, dtype=complex)
-    sol = solve_ivp(stacked_rhs, (0.0, T), y0.ravel(), method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"propagator integration failed: {sol.message}")
-    W = sol.y[:, -1].reshape(dim * dim, dim * dim)
-    # The integration above flattens density matrices row-major; convert to
-    # the package-wide column-stacking convention.
-    perm = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    return Superoperator(W[np.ix_(perm, perm)])
+    n = dim * dim
+    units = np.eye(n, dtype=complex).reshape(n, dim, dim).transpose(0, 2, 1)
+    out = propagate_stack(model, channels, units, T, rtol=rtol, atol=atol)
+    return Superoperator(out.transpose(0, 2, 1).reshape(n, n).T)
 
 
 def propagate_stack(model: LindbladModel, channels: ControlChannels,
@@ -278,34 +254,28 @@ def propagate_stack(model: LindbladModel, channels: ControlChannels,
     if T == 0.0:
         return rhos.copy()
     k = rhos.shape[0]
-    jumps = model.jumps
-    jump_dags = [C.conj().T for C in jumps]
-    anti = sum((Cd @ C for Cd, C in zip(jump_dags, jumps)),
-               np.zeros((dim, dim), dtype=complex))
-    loss_diag = model.loss_rate * model.n_r_diag
-    anti_diag = 0.5 * (np.real(np.diag(anti)) + loss_diag)
-    anti_off = anti - np.diag(np.diag(anti))
-    a_idx = model.absorber_index
+    pattern, data = model.liouvillian_pieces
+    L = pattern.copy()
+    h = drift_diagonal(channels, model.n_r_diag)
+    drift = (-1j * (h[:, None] - h[None, :])).ravel(order="F")[:, None]
 
     def rhs(t, y):
-        rho = y.reshape(k, dim, dim)
-        H = model.hamiltonian(channels, t)
-        out = -1j * (H @ rho - rho @ H)
-        for C, Cd in zip(jumps, jump_dags):
-            out += C @ rho @ Cd
-        out -= 0.5 * (anti_off @ rho + rho @ anti_off)
-        out -= anti_diag[None, :, None] * rho
-        out -= rho * anti_diag[None, None, :]
-        if a_idx is not None:
-            out[:, a_idx, a_idx] += np.einsum(
-                "kii,i->k", rho, loss_diag.astype(complex))
-        return out.ravel()
+        L.data = data[0] + channels.drive(t) @ data[1:]
+        Y = y.reshape(dim * dim, k)
+        return (L @ Y + drift * Y).ravel()
 
-    sol = solve_ivp(rhs, (t0, t0 + T), rhos.ravel(), method="DOP853",
+    # State: column j of the (dim^2, k) matrix is the column-stacked rhos[j].
+    y0 = rhos.transpose(2, 1, 0).reshape(dim * dim, k)
+    sol = solve_ivp(rhs, (t0, t0 + T), y0.ravel(), method="DOP853",
                     rtol=rtol, atol=atol)
+    # The finished solver keeps its stage arrays (16 vectors of the state's
+    # size) in a reference cycle.  The RHS allocates too few objects to
+    # trigger the collector, so without this dead solvers pile up in memory.
+    gc.collect(0)
     if not sol.success:
         raise RuntimeError(f"stack propagation failed: {sol.message}")
-    return sol.y[:, -1].reshape(k, dim, dim)
+    out = sol.y[:, -1].reshape(dim, dim, k).transpose(2, 1, 0)
+    return np.ascontiguousarray(out)
 
 
 # Exact few-atom benchmark ---------------------------------------------------

@@ -29,7 +29,8 @@ from scipy.integrate import solve_ivp
 from scipy.stats import linregress
 
 from . import goat
-from .collective import ControlChannels, FockBasis, TruncationSpec
+from .collective import (ControlChannels, FockBasis, TruncationSpec,
+                         finite_drive, vdw_shift)
 from .geometry import ArrayGeometry
 from .lindblad import (LindbladModel, RateSpec, build_effective_model,
                        propagate_stack)
@@ -254,20 +255,16 @@ def _kernel_from_unitary(basis: FockBasis, U: np.ndarray) -> RoundKernel:
     return RoundKernel(basis, src, np.ascontiguousarray(prop))
 
 
-class ControlChannelsFactory:
-    """Adapter presenting a synthesized pulse as callable channel drives."""
+@dataclass
+class PulseChannels(ControlChannels):
+    """A synthesized pulse as channel drives, held at its t = T value beyond
+    the pulse window."""
 
-    def __init__(self, pulse: goat.PulseParams):
-        self.pulse = pulse
+    pulse: goat.PulseParams = field(kw_only=True)
 
-    def channels(self, U: float | None) -> ControlChannels:
+    def drive(self, t: float) -> np.ndarray:
         p = self.pulse
-
-        def chan(name):
-            return lambda t: goat.channel_amplitudes(p, min(t, p.T))[name]
-
-        return ControlChannels(omega_rg=chan("rg"), omega_rq=chan("rq"),
-                               omega_rl=chan("rl"), U=U)
+        return finite_drive(goat.component_values(p, min(t, p.T)), t)
 
 
 def pulse_kernel(basis: FockBasis, rates: RateSpec, U: float | None,
@@ -275,7 +272,7 @@ def pulse_kernel(basis: FockBasis, rates: RateSpec, U: float | None,
                  atol: float = 1e-10) -> RoundKernel:
     """Round kernel for a synthesized drive pulse under the given noise."""
     model = build_effective_model(basis.trunc, rates)
-    channels = ControlChannelsFactory(pulse).channels(U)
+    channels = PulseChannels(U=U, pulse=pulse)
     if not model.jumps and model.loss_rate == 0.0:
         Umat = _propagate_unitary(model, channels, pulse.T,
                                   rtol=rtol, atol=atol)
@@ -444,6 +441,18 @@ def _contract_round(X: np.ndarray, maps: RoundMaps, V: np.ndarray,
                      blocks, X, V, V.conj(), optimize=True)
 
 
+def _closed_fidelity(X: np.ndarray, imag_tol: float = 1e-7) -> float:
+    """F from a fully contracted transfer object, audited: an imaginary
+    residue above imag_tol or F outside [0, 1] (beyond 1e-9) raises."""
+    val = complex(np.einsum("aappqq->", X))
+    if abs(val.imag) > imag_tol:
+        raise RuntimeError(f"fidelity has imaginary residue {val.imag:.2e}")
+    F = val.real
+    if not -1e-9 <= F <= 1.0 + 1e-9:
+        raise RuntimeError(f"fidelity {F} outside [0, 1]")
+    return max(F, 0.0)
+
+
 def photonic_fidelity(rounds, mps: MatrixProductState,
                       imag_tol: float = 1e-7) -> float:
     """Fidelity of the generated n-photon state with the target MPS.
@@ -461,13 +470,7 @@ def photonic_fidelity(rounds, mps: MatrixProductState,
         if maps.d_max < mps.d:
             raise ValueError("round photon cutoff below the MPS dimension")
         X = _contract_round(X, maps, V, mps.d)
-    val = complex(np.einsum("aappqq->", X))
-    if abs(val.imag) > imag_tol:
-        raise RuntimeError(f"fidelity has imaginary residue {val.imag:.2e}")
-    F = val.real
-    if not -1e-9 <= F <= 1.0 + 1e-9:
-        raise RuntimeError(f"fidelity {F} outside [0, 1]")
-    return max(F, 0.0)
+    return _closed_fidelity(X, imag_tol)
 
 
 def fidelity_curve(config: ProtocolConfig, n_max: int = 12,
@@ -483,9 +486,8 @@ def fidelity_curve(config: ProtocolConfig, n_max: int = 12,
     for n in ns:
         # X holds n-1 contracted interior rounds; close with the final-site
         # tensor, then absorb one more interior round for the next n.
-        Xc = _contract_round(X, closing, final_V, ref.d)
-        val = complex(np.einsum("aappqq->", Xc))
-        Fs[n - 1] = max(val.real, 0.0)
+        Fs[n - 1] = _closed_fidelity(
+            _contract_round(X, closing, final_V, ref.d))
         X = _contract_round(X, interior, interior_V, ref.d)
     return ns, Fs
 
@@ -654,14 +656,10 @@ def optimize_omega(budget: ErrorBudget, gamma_r: float, gamma_phi: float,
 
 @lru_cache(maxsize=None)
 def geometric_factor(L_v: int, L_z: int) -> float:
-    """f = sqrt(N(N-1) / sum_{i != j} |i - j|^12) over the lattice sites;
-    the effective blockade shift is U = f |C6| / d0^6."""
-    geo = ArrayGeometry(L_v, L_v, L_z, 1.0)
-    vecs = geo.lattice_vectors()
-    diff = vecs[:, None, :] - vecs[None, :, :]
-    total = ((diff ** 2).sum(axis=2) ** 6).sum()
-    n = len(vecs)
-    return float(np.sqrt(n * (n - 1) / total))
+    """Blockade geometric factor f of an L_v x L_v x L_z lattice (see
+    collective.vdw_shift); the effective blockade shift is
+    U = f |C6| / d0^6."""
+    return vdw_shift(ArrayGeometry(L_v, L_v, L_z, 1.0), 1.0, 1.0)[1]
 
 
 @dataclass

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import yaml
 
-from seqphoton import cli
 from seqphoton.cli import (ConfigError, Constants, derive_resource,
                            format_value, load_config, run)
 from seqphoton.lindblad import RateSpec, raman_benchmark
@@ -89,21 +88,6 @@ class TestExitCodes:
         code = run(write_config(tmp_path, doc), out=str(tmp_path / "out"))
         assert code == 4
         assert "guard" in capsys.readouterr().err
-
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        doc = {"command": "benchmark", "workers": 3}
-        monkeypatch.setenv(cli.WORKERS_ENV_VAR, "5")
-        cfg = load_config(write_config(tmp_path, doc), workers=2)
-        assert cfg.workers == 5
-        monkeypatch.delenv(cli.WORKERS_ENV_VAR)
-        cfg = load_config(write_config(tmp_path, doc), workers=2)
-        assert cfg.workers == 2
-
-    def test_invalid_workers_rejected(self, tmp_path, monkeypatch):
-        doc = {"command": "benchmark"}
-        monkeypatch.setenv(cli.WORKERS_ENV_VAR, "zero")
-        with pytest.raises(ConfigError, match=cli.WORKERS_ENV_VAR):
-            load_config(write_config(tmp_path, doc))
 
 
 # ---------------------------------------------------------------------------

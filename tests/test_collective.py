@@ -87,6 +87,16 @@ def test_hamiltonian_two_level_rabi():
     assert abs(H[i1, i0] - 0.4) < 1e-14
 
 
+def test_hamiltonian_imaginary_amplitude_sign():
+    # pins the sign of the Y_c control piece: H = Omega/2 C^dag + h.c.
+    b = FockBasis(TruncationSpec(1, 0, 0))
+    H = build_hamiltonian(ControlChannels(omega_rg=0.8j, U=0.0), 0.0, b)
+    i0 = b.index_of((0, 0, 0, 0, 0, 0))
+    i1 = b.index_of((1, 0, 0, 0, 0, 0))
+    assert abs(H[i1, i0] - 0.4j) < 1e-14
+    assert abs(H[i0, i1] + 0.4j) < 1e-14
+
+
 def test_hamiltonian_rq_element():
     b = FockBasis(TruncationSpec(1, 1, 0))
     H = build_hamiltonian(ControlChannels(omega_rq=1.0, U=0.0), 0.0, b)

@@ -178,6 +178,63 @@ def test_liouvillian_matrix_consistent_with_propagator():
     assert np.abs(expm(L * T) - W.matrix).max() < 1e-8
 
 
+class _Captured(Exception):
+    pass
+
+
+def stack_generator(model, channels, t, monkeypatch):
+    """The column-stacked L(t) that propagate_stack integrates: its
+    right-hand side evaluated on the matrix units, which are the identity
+    in the solver's state layout."""
+    def capture(fun, t_span, y0, **kwargs):
+        raise _Captured(fun, y0)
+
+    n = model.dim ** 2
+    units = np.eye(n, dtype=complex).reshape(n, model.dim, model.dim)
+    with monkeypatch.context() as m:
+        m.setattr(lb, "solve_ivp", capture)
+        with pytest.raises(_Captured) as info:
+            lb.propagate_stack(model, channels, units.transpose(0, 2, 1), 1.0)
+    fun, y0 = info.value.args
+    assert np.array_equal(y0, np.eye(n).ravel())
+    return fun(t, y0).reshape(n, n)
+
+
+@pytest.mark.parametrize("trunc, rates, channels, lost", [
+    (TruncationSpec(2, 1, 1, 1, 1, 1, total_max=2, mixed_total_max=1),
+     lb.RateSpec(0.03, 0.05, U=4.0),
+     ControlChannels(omega_rg=0.3 + 0.2j, omega_rq=lambda t: -0.5 + 0.7j * t,
+                     omega_rl=0.4 - 0.6j, delta_rq=0.35, U=4.0), 1),
+    (TruncationSpec(1, 1, 1, 1, 1, 1, mixed_total_max=1,
+                    rydberg_total_max=1),
+     lb.RateSpec(0.02, 0.04, U=None),
+     ControlChannels(omega_rg=0.7j, omega_rq=0.2 + 0.9j,
+                     omega_rl=lambda t: 0.5 * t - 0.1j, U=None), 0),
+], ids=["finite-U-absorber", "ideal-blockade"])
+def test_sparse_generator_matches_dense_liouvillian(trunc, rates, channels,
+                                                    lost, monkeypatch):
+    model = lb.build_effective_model(trunc, rates, include_l=not lost,
+                                     lost_channels=lost)
+    assert (model.absorber_index is not None) == bool(lost)
+    t = 0.7
+    L = stack_generator(model, channels, t, monkeypatch)
+    assert np.abs(L - lb.liouvillian_matrix(model, channels, t)).max() < 1e-12
+
+
+@pytest.mark.parametrize("channels", [
+    ControlChannels(omega_rq=lambda t: np.nan, U=0.0),
+    ControlChannels(omega_rg=1.0, U=np.inf),
+    ControlChannels(omega_rg=1.0, U=None),
+], ids=["nan-amplitude", "non-finite-U", "ideal-blockade-guard"])
+def test_propagation_rejects_bad_drives(channels):
+    model = lb.build_effective_model(
+        TruncationSpec(2, 1, 0, 1, 1, 0), lb.RateSpec(0.01, 0.01, U=0.0),
+        include_l=False)
+    with pytest.raises(ValueError):
+        lb.propagate_rho(model, channels,
+                         _pure_state(model, (0, 0, 0, 0, 0, 0)), 0.5)
+
+
 def test_exact_basis_dimension_and_roundtrip():
     b = lb.ExactBasis(20)
     assert b.dim == 2 * 20 * 20 + 2          # 801 physical + absorber
@@ -298,6 +355,7 @@ def test_uhlmann_fidelity_properties():
                             np.eye(2, dtype=complex) / 2)
 
 
+@pytest.mark.slow
 def test_raman_benchmark_ideal_transfers():
     rates = lb.RateSpec(0.0, 0.0, U=4000.0)
     res = lb.raman_benchmark(5, rates, 4, samples_per_pulse=1,

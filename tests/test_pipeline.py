@@ -98,6 +98,49 @@ def test_fidelity_monotone_in_n():
     assert np.all((Fs > 0.0) & (Fs <= 1.0 + 1e-9))
 
 
+@pytest.mark.parametrize("corrupt", [lambda X: X * np.exp(0.1j),
+                                     lambda X: -X],
+                         ids=["imaginary-residue", "negative"])
+def test_fidelity_curve_audits_every_value(corrupt, monkeypatch):
+    contract = pl._contract_round
+    monkeypatch.setattr(pl, "_contract_round",
+                        lambda *args: corrupt(contract(*args)))
+    with pytest.raises(RuntimeError, match="fidelity"):
+        pl.fidelity_curve(IDEAL, n_max=3)
+
+
+@pytest.mark.parametrize("gamma_r, U", [(0.0, 10.0), (2e-3, None)],
+                         ids=["unitary", "open-system"])
+def test_one_pulse_evaluation_per_rhs_evaluation(gamma_r, U, monkeypatch):
+    from seqphoton import goat, lindblad
+    rng = np.random.default_rng(5)
+    pulse = goat.PulseParams(rng.normal(scale=0.4, size=(goat.N_COMP, 3)),
+                             rng.uniform(0.2, 1.0, goat.N_COMP), T=1.5)
+    counts = {"pulse": 0, "nfev": 0}
+    values = goat.component_values
+
+    def counted_values(*args):
+        counts["pulse"] += 1
+        return values(*args)
+
+    def counted_solver(solver):
+        def run(*args, **kwargs):
+            sol = solver(*args, **kwargs)
+            counts["nfev"] += sol.nfev
+            return sol
+        return run
+
+    monkeypatch.setattr(goat, "component_values", counted_values)
+    for module in (pl, lindblad):
+        monkeypatch.setattr(module, "solve_ivp",
+                            counted_solver(module.solve_ivp))
+    cfg = pl.ProtocolConfig(pulse=pulse, gamma_r=gamma_r, U=U, slack=0)
+    basis = FockBasis(cfg.truncation())
+    pl.pulse_kernel(basis, RateSpec(gamma_r, 0.0, U=U), U, pulse)
+    assert counts["nfev"] > 0
+    assert counts["pulse"] == counts["nfev"]
+
+
 def test_round_count_mismatch(ideal_maps):
     interior, closing, _ = ideal_maps
     with pytest.raises(ValueError):
