@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .collective import (ControlChannels, FockBasis, TruncationSpec,
                          affine_hamiltonian, control_pieces, drift_diagonal,
@@ -226,6 +227,27 @@ class Superoperator:
         return float(np.abs(tr_row @ self.matrix - tr_row).max())
 
 
+def _drift(model: LindbladModel, channels: ControlChannels) -> np.ndarray:
+    """Column-stacked diagonal -i(h_i - h_j) of the drift commutator."""
+    h = drift_diagonal(channels, model.n_r_diag)
+    return (-1j * (h[:, None] - h[None, :])).ravel(order="F")
+
+
+def constant_propagator(model: LindbladModel, channels: ControlChannels,
+                        T: float) -> Superoperator:
+    """Propagator W = exp(T L) for drives that do not depend on time: one
+    exponential of the Liouvillian, exact at any blockade shift.  Guarded
+    to small effective bases."""
+    dim = model.dim
+    if dim > 40:
+        raise ValueError("propagator guarded to dim <= 40")
+    pattern, data = model.liouvillian_pieces
+    L = pattern.copy()
+    L.data = data[0] + channels.drive(0.0) @ data[1:]
+    return Superoperator(expm(T * (L.toarray()
+                                   + np.diag(_drift(model, channels)))))
+
+
 def liouvillian_propagator(model: LindbladModel, channels: ControlChannels,
                            T: float, rtol: float = DEFAULT_RTOL,
                            atol: float = DEFAULT_ATOL) -> Superoperator:
@@ -256,8 +278,7 @@ def propagate_stack(model: LindbladModel, channels: ControlChannels,
     k = rhos.shape[0]
     pattern, data = model.liouvillian_pieces
     L = pattern.copy()
-    h = drift_diagonal(channels, model.n_r_diag)
-    drift = (-1j * (h[:, None] - h[None, :])).ravel(order="F")[:, None]
+    drift = _drift(model, channels)[:, None]
 
     def rhs(t, y):
         L.data = data[0] + channels.drive(t) @ data[1:]
@@ -430,6 +451,15 @@ class ExactModel:
     def dim(self) -> int:
         return self.basis.dim
 
+    @cached_property
+    def recycle(self) -> sparse.csr_matrix:
+        """Recycle term sum_k C rho C^dag as one sparse map on the row-major
+        vectorization, vec(C rho C^dag) = (C kron conj(C)) vec(rho); the
+        jumps are few-element sparse, so it stays tiny.  Built on first use."""
+        n = self.dim * self.dim
+        return sum((sparse.kron(C, C.conj(), format="csr") for C in self.jumps),
+                   sparse.csr_matrix((n, n), dtype=complex))
+
 
 def build_exact_model(N: int, rates: RateSpec,
                       u: np.ndarray | None = None) -> ExactModel:
@@ -444,44 +474,41 @@ def build_exact_model(N: int, rates: RateSpec,
 def propagate_exact(model: ExactModel, omega_rg: complex, omega_rq: complex,
                     rho0: np.ndarray, T: float,
                     rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
-    """Propagate the exact model under constant drives for duration T."""
+    """Propagate the exact model under constant drives for duration T.
+
+    Without decay or dephasing the map is rho -> V rho V^dag with
+    V = exp(-iHT), exact at any blockade shift; otherwise the master
+    equation is integrated with DOP853 at the given tolerances.
+    """
     U = model.rates.U if model.rates.U is not None else 0.0
-    Hg = model.H_rg
-    Hq = model.H_rq
-    diag = U * model.H_block
+    A = 0.5 * (omega_rg * model.H_rg + omega_rq * model.H_rq)
+    H = A + A.conj().T + sparse.diags(U * model.H_block)
     loss = model.rates.gamma_r * model.n_r_diag  # l-channel to the absorber
+    rho0 = np.asarray(rho0, dtype=complex)
+    if not model.jumps and not loss.any():
+        V = expm(-1j * T * H.toarray())
+        rho = V @ rho0 @ V.conj().T
+        return 0.5 * (rho + rho.conj().T)
     half_width = 0.5 * (model.rates.gamma_r * 2.0 + model.rates.gamma_phi
                         ) * model.n_r_diag + 0.5 * loss
+    # Non-Hermitian K = H - i half_width: -i K rho plus its adjoint gives the
+    # commutator and the jump anticommutators of a Hermitian rho.
+    K = (H - 1j * sparse.diags(half_width)).tocsr()
     a_idx = model.basis.index_of(("A",))
     dim = model.dim
-    # Recycle term sum_k C rho C^dag as one sparse map on the row-major
-    # vectorization: vec(C rho C^dag) = (C kron conj(C)) vec(rho).  The jumps
-    # are few-element sparse, so the combined superoperator stays tiny while
-    # removing 3N sparse matmuls per derivative evaluation.
-    from scipy.sparse import csr_matrix, kron
-    recycle = csr_matrix((dim * dim, dim * dim), dtype=complex)
-    for C in model.jumps:
-        recycle += kron(C, C.conj(), format="csr")
-    Hgd = Hg.conj().T.tocsr()
-    Hqd = Hq.conj().T.tocsr()
+    recycle = model.recycle
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
-        Hrho = 0.5 * omega_rg * (Hg @ rho) + 0.5 * omega_rq * (Hq @ rho)
-        Hrho += 0.5 * np.conj(omega_rg) * (Hgd @ rho)
-        Hrho += 0.5 * np.conj(omega_rq) * (Hqd @ rho)
-        Hrho += diag[:, None] * rho
-        out = -1j * Hrho
-        out += 1j * Hrho.conj().T
+        M = -1j * (K @ rho)
+        out = M + M.conj().T
         out += (recycle @ y).reshape(dim, dim)
-        # jump anticommutators enter through the diagonal half_width
-        out -= half_width[:, None] * rho
-        out -= rho * half_width[None, :]
         out[a_idx, a_idx] += loss @ np.diag(rho)
         return out.ravel()
 
-    sol = solve_ivp(rhs, (0.0, T), np.asarray(rho0, dtype=complex).ravel(),
-                    method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, T), rho0.ravel(), method="DOP853",
+                    rtol=rtol, atol=atol)
+    gc.collect(0)      # drop the finished solver, as in propagate_stack
     if not sol.success:
         raise RuntimeError(f"exact-model integration failed: {sol.message}")
     rho = sol.y[:, -1].reshape(dim, dim)
@@ -709,7 +736,8 @@ def raman_benchmark(N: int, rates: RateSpec, n_transfers: int,
     One transfer is a two-pulse move between |0> and |1_q>: a resonant pi
     pulse on the rg channel followed by one on the rq channel (order reversed
     on the way back).  Both channels run at the reference Rabi frequency, so
-    t_rg = t_rq = pi / Omega_max.
+    t_rg = t_rq = pi / Omega_max.  Every pulse is constant, so the effective
+    model steps by one `constant_propagator` per channel.
     """
     if n_transfers < 1:
         raise ValueError("need at least one transfer")
@@ -734,15 +762,19 @@ def raman_benchmark(N: int, rates: RateSpec, n_transfers: int,
     t = 0.0
     t_pulse = np.pi / omega
     dt = t_pulse / samples_per_pulse
+    steps = {}
+    for channel in ("rg", "rq"):
+        ch_eff = ControlChannels(U=rates.U)
+        setattr(ch_eff, "omega_" + channel, omega)
+        steps[channel] = constant_propagator(model_eff, ch_eff, dt)
     for transfer in range(n_transfers):
         pulses = ("rg", "rq") if transfer % 2 == 0 else ("rq", "rg")
         for channel in pulses:
-            ch_eff = ControlChannels(U=rates.U)
-            setattr(ch_eff, "omega_" + channel, omega)
             w_g = omega if channel == "rg" else 0.0
             w_q = omega if channel == "rq" else 0.0
             for _ in range(samples_per_pulse):
-                rho_eff = propagate_rho(model_eff, ch_eff, rho_eff, dt)
+                rho_eff = steps[channel].apply(rho_eff)
+                rho_eff = 0.5 * (rho_eff + rho_eff.conj().T)
                 rho_ex = propagate_exact(model_exact, w_g, w_q, rho_ex, dt,
                                          rtol=rtol_exact, atol=atol_exact)
                 t += dt

@@ -233,6 +233,41 @@ def test_propagation_rejects_bad_drives(channels):
     with pytest.raises(ValueError):
         lb.propagate_rho(model, channels,
                          _pure_state(model, (0, 0, 0, 0, 0, 0)), 0.5)
+    with pytest.raises(ValueError):
+        lb.constant_propagator(model, channels, 0.5)
+
+
+def test_constant_drive_exponential_matches_ode():
+    """One Liouvillian exponential against the DOP853 path: complex
+    amplitudes, a detuning, finite U, decay, dephasing and the absorber."""
+    model = lb.build_effective_model(lb.BENCHMARK_TRUNCATION,
+                                     lb.RateSpec(0.03, 0.05, U=4.0),
+                                     include_l=False, lost_channels=1)
+    channels = ControlChannels(omega_rg=0.8 + 0.3j, omega_rq=-0.4 + 0.6j,
+                               delta_rq=0.35, U=4.0)
+    W = lb.constant_propagator(model, channels, 2.3)
+    ref = lb.liouvillian_propagator(model, channels, 2.3, rtol=1e-12,
+                                    atol=1e-14)
+    assert np.abs(W.matrix - ref.matrix).max() < 1e-9
+
+
+def test_exact_closed_exponential_matches_ode():
+    """Without rates propagate_exact exponentiates H; a decay rate of 1e-14
+    switches it to the DOP853 path while changing rho by far less than the
+    1e-9 tolerance."""
+    U, T = 5.0, 2.3
+    closed = lb.build_exact_model(3, lb.RateSpec(0.0, 0.0, U=U))
+    open_ = lb.build_exact_model(3, lb.RateSpec(1e-14, 0.0, U=U))
+    assert not closed.jumps and open_.jumps
+    psi = np.zeros(closed.dim, dtype=complex)
+    psi[closed.basis.index_of(("g",))] = 0.6
+    psi[closed.basis.index_of(("q", 1))] = 0.8j
+    rho0 = np.outer(psi, psi.conj())
+    got = lb.propagate_exact(closed, 0.7 + 0.3j, -0.4 + 0.5j, rho0, T)
+    ref = lb.propagate_exact(open_, 0.7 + 0.3j, -0.4 + 0.5j, rho0, T,
+                             rtol=1e-12, atol=1e-14)
+    assert lb.exact_populations(closed, got)["p_rr"] > 1e-3
+    assert np.abs(got - ref).max() < 1e-9
 
 
 def test_exact_basis_dimension_and_roundtrip():
