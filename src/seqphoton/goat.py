@@ -15,6 +15,7 @@ block O' out of the source space.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -147,6 +148,10 @@ def propagate_with_gradient(params: PulseParams, basis: FockBasis,
     y0[0] = np.eye(N)
     sol = solve_ivp(rhs, (0.0, params.T), y0.ravel(), method="DOP853",
                     rtol=rtol, atol=atol, dense_output=False)
+    # The finished solver keeps its stage arrays (16 vectors of the
+    # (P+1) N^2 state) in a reference cycle; collect it now rather than
+    # letting dead solvers pile up until the collector next runs.
+    gc.collect(0)
     if not sol.success:
         raise RuntimeError(f"propagator integration failed: {sol.message}")
     Y = sol.y[:, -1].reshape(P + 1, N, N)

@@ -233,6 +233,17 @@ def _drift(model: LindbladModel, channels: ControlChannels) -> np.ndarray:
     return (-1j * (h[:, None] - h[None, :])).ravel(order="F")
 
 
+def constant_liouvillian(model: LindbladModel, channels: ControlChannels,
+                         ) -> sparse.csr_matrix:
+    """Sparse column-stacked Liouvillian L of drives that do not depend on
+    time: the model's Liouvillian pieces at drive(0) plus the diagonal
+    drift.  Raises on a non-finite drive or an invalid blockade shift."""
+    pattern, data = model.liouvillian_pieces
+    L = pattern.copy()
+    L.data = data[0] + channels.drive(0.0) @ data[1:]
+    return (L + sparse.diags(_drift(model, channels))).tocsr()
+
+
 def constant_propagator(model: LindbladModel, channels: ControlChannels,
                         T: float) -> Superoperator:
     """Propagator W = exp(T L) for drives that do not depend on time: one
@@ -241,11 +252,8 @@ def constant_propagator(model: LindbladModel, channels: ControlChannels,
     dim = model.dim
     if dim > 40:
         raise ValueError("propagator guarded to dim <= 40")
-    pattern, data = model.liouvillian_pieces
-    L = pattern.copy()
-    L.data = data[0] + channels.drive(0.0) @ data[1:]
-    return Superoperator(expm(T * (L.toarray()
-                                   + np.diag(_drift(model, channels)))))
+    return Superoperator(expm(T * constant_liouvillian(model,
+                                                       channels).toarray()))
 
 
 def liouvillian_propagator(model: LindbladModel, channels: ControlChannels,

@@ -17,6 +17,7 @@ source density matrices, photon ket index i first.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import warnings
@@ -26,6 +27,8 @@ from math import comb
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.stats import linregress
 
 from . import goat
@@ -33,7 +36,7 @@ from .collective import (ControlChannels, FockBasis, TruncationSpec,
                          finite_drive, vdw_shift)
 from .geometry import ArrayGeometry
 from .lindblad import (LindbladModel, RateSpec, build_effective_model,
-                       propagate_stack)
+                       constant_liouvillian, propagate_stack)
 from .mps import (CLUSTER_FINAL, CLUSTER_INTERIOR, MatrixProductState,
                   build_cluster, dense_state)
 from .retrieval import DetectionMode, default_waists, retrieval_report
@@ -214,9 +217,11 @@ def round_maps(kernel: RoundKernel, emission: PhotonEmissionMap) -> RoundMaps:
     if emission.source_states != kernel.source_states:
         raise ValueError("emission map and kernel use different subspaces")
     F = emission.factors
-    # N^{ij}[c,s,a,b] = sum_e (F_i[e] W_L(|a><b|) F_j[e]^T)[c,s]
-    blocks = np.einsum("iecn,abnm,jesm->ijcsab", F, kernel.propagated, F,
-                       optimize=True)
+    # N^{ij}[c,s,a,b] = sum_e (F_i[e] W_L(|a><b|) F_j[e]^T)[c,s], one factor
+    # at a time: as one three-operand einsum it runs as a single 9-index loop.
+    half = np.einsum("iecn,abnm->abiecm", F, kernel.propagated,
+                     optimize=True)
+    blocks = np.einsum("abiecm,jesm->ijcsab", half, F, optimize=True)
     return RoundMaps(emission.source_occ, np.ascontiguousarray(blocks))
 
 
@@ -232,25 +237,36 @@ def _source_units(basis: FockBasis) -> tuple[tuple[int, ...], np.ndarray]:
     return src, units
 
 
+def _closed(model: LindbladModel) -> bool:
+    """True when the model has neither jumps nor loss (unitary evolution)."""
+    return not model.jumps and model.loss_rate == 0.0
+
+
 def _propagate_unitary(model: LindbladModel, channels: ControlChannels,
-                       T: float, t0: float = 0.0, rtol: float = 1e-10,
+                       T: float, rtol: float = 1e-10,
                        atol: float = 1e-12) -> np.ndarray:
+    """The source columns U(T)[:, src] (N, S) of the propagator: only the
+    columns the round kernel reads are integrated."""
     dim = model.dim
+    src = list(source_subspace(model.basis))
+    k = len(src)
 
     def rhs(t, y):
-        U = y.reshape(dim, dim)
-        return (-1j * model.hamiltonian(channels, t) @ U).ravel()
+        return (-1j * model.hamiltonian(channels, t)
+                @ y.reshape(dim, k)).ravel()
 
-    sol = solve_ivp(rhs, (t0, t0 + T), np.eye(dim, dtype=complex).ravel(),
-                    method="DOP853", rtol=rtol, atol=atol)
+    y0 = np.eye(dim, dtype=complex)[:, src]
+    sol = solve_ivp(rhs, (0.0, T), y0.ravel(), method="DOP853",
+                    rtol=rtol, atol=atol)
+    gc.collect(0)      # drop the finished solver, as in propagate_stack
     if not sol.success:
         raise RuntimeError(f"unitary propagation failed: {sol.message}")
-    return sol.y[:, -1].reshape(dim, dim)
+    return sol.y[:, -1].reshape(dim, k)
 
 
-def _kernel_from_unitary(basis: FockBasis, U: np.ndarray) -> RoundKernel:
+def _kernel_from_unitary(basis: FockBasis, cols: np.ndarray) -> RoundKernel:
+    """Kernel of rho -> U rho U^dag from the source columns U[:, src]."""
     src = source_subspace(basis)
-    cols = U[:, list(src)]                        # (N, S)
     prop = np.einsum("na,mb->abnm", cols, cols.conj())
     return RoundKernel(basis, src, np.ascontiguousarray(prop))
 
@@ -267,16 +283,16 @@ class PulseChannels(ControlChannels):
         return finite_drive(goat.component_values(p, min(t, p.T)), t)
 
 
-def pulse_kernel(basis: FockBasis, rates: RateSpec, U: float | None,
-                 pulse: goat.PulseParams, rtol: float = 1e-8,
-                 atol: float = 1e-10) -> RoundKernel:
-    """Round kernel for a synthesized drive pulse under the given noise."""
-    model = build_effective_model(basis.trunc, rates)
-    channels = PulseChannels(U=U, pulse=pulse)
-    if not model.jumps and model.loss_rate == 0.0:
-        Umat = _propagate_unitary(model, channels, pulse.T,
+def pulse_kernel(model: LindbladModel, pulse: goat.PulseParams,
+                 rtol: float = 1e-8, atol: float = 1e-10) -> RoundKernel:
+    """Round kernel for a synthesized drive pulse under the model's noise
+    and blockade shift."""
+    basis = model.basis
+    channels = PulseChannels(U=model.rates.U, pulse=pulse)
+    if _closed(model):
+        cols = _propagate_unitary(model, channels, pulse.T,
                                   rtol=rtol, atol=atol)
-        return _kernel_from_unitary(basis, Umat)
+        return _kernel_from_unitary(basis, cols)
     src, units = _source_units(basis)
     out = propagate_stack(model, channels, units, pulse.T,
                           rtol=rtol, atol=atol)
@@ -287,30 +303,37 @@ def pulse_kernel(basis: FockBasis, rates: RateSpec, U: float | None,
 CLOSING_SEGMENTS = (("rq", 1.0), ("rl", -1.0))   # pi-area pulses, net +1
 
 
-def closing_kernel(basis: FockBasis, rates: RateSpec, U: float | None,
-                   rtol: float = 1e-8, atol: float = 1e-10) -> RoundKernel:
-    """Final-round kernel: an analytic q -> l transfer (two pi pulses) that
-    realizes the disentangling tensor V^i = |0><i| on a single quantum."""
-    model = build_effective_model(basis.trunc, rates)
-    unitary = not model.jumps and model.loss_rate == 0.0
-    if unitary:
-        out = np.eye(basis.dim, dtype=complex)
-    else:
-        src, units = _source_units(basis)
-        out = units
-    for chan_name, amp in CLOSING_SEGMENTS:
-        channels = ControlChannels(**{"omega_" + chan_name: amp}, U=U)
-        if unitary:
-            out = _propagate_unitary(model, channels, math.pi,
-                                     rtol=rtol, atol=atol) @ out
-        else:
-            out = propagate_stack(model, channels, out, math.pi,
-                                  rtol=rtol, atol=atol)
-    if unitary:
-        return _kernel_from_unitary(basis, out)
-    src = source_subspace(basis)
-    S = len(src)
-    return RoundKernel(basis, src, out.reshape(S, S, basis.dim, basis.dim))
+def closing_kernel(model: LindbladModel) -> RoundKernel:
+    """Final-round kernel: an analytic q -> l transfer (the two constant
+    pi-area pulses of CLOSING_SEGMENTS) that realizes the disentangling
+    tensor V^i = |0><i| on a single quantum, under the model's noise and
+    blockade shift.
+
+    Each pulse is one exponential, exact at any blockade shift: without
+    jumps or loss exp(-i pi H) acts on the source columns of the identity;
+    otherwise exp(pi L) of the sparse Liouvillian acts on the S^2 source
+    matrix units (expm_multiply, no dense exponential of L).
+    """
+    basis = model.basis
+    segments = [ControlChannels(**{"omega_" + name: amp}, U=model.rates.U)
+                for name, amp in CLOSING_SEGMENTS]
+    if _closed(model):
+        src = list(source_subspace(basis))
+        cols = np.eye(model.dim, dtype=complex)[:, src]
+        for channels in segments:
+            V = expm(-1j * math.pi * model.hamiltonian(channels, 0.0))
+            cols = V @ cols
+        return _kernel_from_unitary(basis, cols)
+    src, units = _source_units(basis)
+    N, S = basis.dim, len(src)
+    # Column j of the (N^2, S^2) state is the column-stacked units[j].
+    vecs = units.transpose(2, 1, 0).reshape(N * N, S * S)
+    for channels in segments:
+        vecs = expm_multiply(math.pi * constant_liouvillian(model, channels),
+                             vecs)
+    out = vecs.reshape(N, N, S * S).transpose(2, 1, 0)
+    return RoundKernel(basis, src,
+                       np.ascontiguousarray(out).reshape(S, S, N, N))
 
 
 def embedding_unitary(basis: FockBasis, V_hat: np.ndarray,
@@ -342,7 +365,7 @@ def exact_kernel(basis: FockBasis, tensor: np.ndarray, D: int) -> RoundKernel:
     d = arr.shape[0]
     rows = goat.source_space_rows(basis, d, D)
     U = embedding_unitary(basis, arr.reshape(d * D, D), rows)
-    return _kernel_from_unitary(basis, U)
+    return _kernel_from_unitary(basis, U[:, list(source_subspace(basis))])
 
 
 # Protocol configuration -----------------------------------------------------
@@ -400,7 +423,8 @@ def protocol_round_maps(config: ProtocolConfig,
 
 def protocol_kernels(config: ProtocolConfig, basis: FockBasis,
                      ) -> tuple[RoundKernel, RoundKernel]:
-    rates = RateSpec(config.gamma_r, config.gamma_phi, U=config.U)
+    """Interior and closing drive-stage kernels; with a pulse, both act on
+    one effective model built for the configured noise."""
     if config.pulse is None:
         if config.noisy:
             raise ValueError("noisy protocol requires a drive pulse")
@@ -414,11 +438,10 @@ def protocol_kernels(config: ProtocolConfig, basis: FockBasis,
         raise NotImplementedError(
             "the analytic closing transfer covers single-quantum emission "
             "(d = 2) only")
-    interior = pulse_kernel(basis, rates, config.U, config.pulse,
-                            config.rtol, config.atol)
-    closing = closing_kernel(basis, rates, config.U,
-                             config.rtol, config.atol)
-    return interior, closing
+    model = build_effective_model(
+        basis.trunc, RateSpec(config.gamma_r, config.gamma_phi, U=config.U))
+    return (pulse_kernel(model, config.pulse, config.rtol, config.atol),
+            closing_kernel(model))
 
 
 # Fidelity contraction -------------------------------------------------------

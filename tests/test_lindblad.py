@@ -390,7 +390,6 @@ def test_uhlmann_fidelity_properties():
                             np.eye(2, dtype=complex) / 2)
 
 
-@pytest.mark.slow
 def test_raman_benchmark_ideal_transfers():
     rates = lb.RateSpec(0.0, 0.0, U=4000.0)
     res = lb.raman_benchmark(5, rates, 4, samples_per_pulse=1,

@@ -7,7 +7,7 @@ import pytest
 
 from seqphoton import pipeline as pl
 from seqphoton.collective import FockBasis
-from seqphoton.lindblad import RateSpec
+from seqphoton.lindblad import RateSpec, build_effective_model
 from seqphoton.mps import (CLUSTER_FINAL, CLUSTER_INTERIOR,
                            MatrixProductState, build_cluster)
 
@@ -86,7 +86,8 @@ def test_lossy_round_maps_trace_preserving():
     cfg = pl.ProtocolConfig(gamma_r=2e-3, gamma_phi=1e-3, p_em=0.8,
                             pulse=None)
     basis = FockBasis(cfg.truncation())
-    ck = pl.closing_kernel(basis, RateSpec(cfg.gamma_r, cfg.gamma_phi), None)
+    ck = pl.closing_kernel(build_effective_model(
+        basis.trunc, RateSpec(cfg.gamma_r, cfg.gamma_phi)))
     maps = pl.round_maps(ck, pl.emission_map(cfg.emission_spec(), basis))
     assert maps.trace_defect() < 1e-9
 
@@ -136,7 +137,8 @@ def test_one_pulse_evaluation_per_rhs_evaluation(gamma_r, U, monkeypatch):
                             counted_solver(module.solve_ivp))
     cfg = pl.ProtocolConfig(pulse=pulse, gamma_r=gamma_r, U=U, slack=0)
     basis = FockBasis(cfg.truncation())
-    pl.pulse_kernel(basis, RateSpec(gamma_r, 0.0, U=U), U, pulse)
+    pl.pulse_kernel(build_effective_model(basis.trunc,
+                                          RateSpec(gamma_r, 0.0, U=U)), pulse)
     assert counts["nfev"] > 0
     assert counts["pulse"] == counts["nfev"]
 
@@ -166,7 +168,7 @@ def test_transfer_contraction_matches_dense_oracle_noisy():
     cfg = pl.ProtocolConfig(gamma_r=1e-3, gamma_phi=5e-4, p_em=0.9)
     basis = FockBasis(cfg.truncation())
     rates = RateSpec(cfg.gamma_r, cfg.gamma_phi)
-    ck = pl.closing_kernel(basis, rates, None, rtol=1e-9, atol=1e-11)
+    ck = pl.closing_kernel(build_effective_model(basis.trunc, rates))
     spec = cfg.emission_spec()
     maps = pl.round_maps(ck, pl.emission_map(spec, basis))
     for n in (1, 3):
@@ -178,8 +180,8 @@ def test_transfer_contraction_matches_dense_oracle_noisy():
 
 def test_closing_pulse_realizes_final_tensor():
     basis = FockBasis(IDEAL.truncation())
-    ck = pl.closing_kernel(basis, RateSpec(0.0, 0.0), None,
-                           rtol=1e-11, atol=1e-13)
+    ck = pl.closing_kernel(build_effective_model(basis.trunc,
+                                                 RateSpec(0.0, 0.0)))
     i1q = basis.index_of((0, 1, 0, 0, 0, 0))
     i1l = basis.index_of((0, 0, 1, 0, 0, 0))
     i0 = basis.index_of((0, 0, 0, 0, 0, 0))
@@ -188,6 +190,100 @@ def test_closing_pulse_realizes_final_tensor():
     assert abs(rho[i1l, i1l] - 1.0) < 1e-8
     coh = ck.propagated[src.index(i1q), src.index(i0)]
     assert abs(coh[i1l, i0] - 1.0) < 1e-8   # +1 transfer phase
+
+
+def closing_model(gamma_r, gamma_phi, U):
+    cfg = pl.ProtocolConfig(gamma_r=gamma_r, gamma_phi=gamma_phi, U=U,
+                            slack=1)
+    return build_effective_model(cfg.truncation(),
+                                 RateSpec(gamma_r, gamma_phi, U=U))
+
+
+@pytest.mark.parametrize("gamma_r, gamma_phi, U",
+                         [(2e-3, 1e-3, None), (0.0, 0.0, 10.0)],
+                         ids=["noisy-ideal-blockade", "coherent-finite-U"])
+def test_closing_kernel_exponential_matches_ode(gamma_r, gamma_phi, U):
+    """The exponential closing transfer against DOP853 on the source
+    matrix units, segment by segment, at rtol 1e-12."""
+    model = closing_model(gamma_r, gamma_phi, U)
+    ck = pl.closing_kernel(model)
+    src, out = pl._source_units(model.basis)
+    for name, amp in pl.CLOSING_SEGMENTS:
+        channels = pl.ControlChannels(**{"omega_" + name: amp}, U=U)
+        out = pl.propagate_stack(model, channels, out, math.pi,
+                                 rtol=1e-12, atol=1e-14)
+    S, N = len(src), model.dim
+    assert ck.source_states == src
+    assert np.abs(ck.propagated - out.reshape(S, S, N, N)).max() < 1e-9
+
+
+@pytest.mark.parametrize("gamma_r, gamma_phi", [(2e-3, 1e-3), (0.0, 0.0)],
+                         ids=["noisy", "coherent"])
+def test_closing_kernel_rejects_bad_drives(gamma_r, gamma_phi, monkeypatch):
+    # a double-Rydberg basis (built for finite U) under U = None
+    with pytest.raises(ValueError, match="ideal blockade"):
+        pl.closing_kernel(build_effective_model(
+            closing_model(gamma_r, gamma_phi, 10.0).basis.trunc,
+            RateSpec(gamma_r, gamma_phi, U=None)))
+    monkeypatch.setattr(pl, "CLOSING_SEGMENTS", (("rq", np.nan),))
+    with pytest.raises(ValueError, match="non-finite"):
+        pl.closing_kernel(closing_model(gamma_r, gamma_phi, None))
+
+
+def test_round_maps_two_step_matches_single_einsum():
+    cfg = pl.ProtocolConfig(U=10.0, p_em=0.9, slack=1)
+    basis = FockBasis(cfg.truncation())
+    em = pl.emission_map(cfg.emission_spec(), basis)
+    src = em.source_states
+    rng = np.random.default_rng(3)
+    shape = (len(src), len(src), basis.dim, basis.dim)
+    prop = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    maps = pl.round_maps(pl.RoundKernel(basis, src, prop), em)
+    F = em.factors
+    ref = np.einsum("iecn,abnm,jesm->ijcsab", F, prop, F, optimize=True)
+    assert np.abs(maps.blocks - ref).max() < 1e-13
+
+
+def test_pulse_kernel_source_columns_match_full_unitary():
+    from scipy.integrate import solve_ivp
+    from seqphoton import goat
+    rng = np.random.default_rng(11)
+    pulse = goat.PulseParams(rng.normal(scale=0.4, size=(goat.N_COMP, 3)),
+                             rng.uniform(0.2, 1.0, goat.N_COMP), T=3.0)
+    model = closing_model(0.0, 0.0, 10.0)
+    channels = pl.PulseChannels(U=10.0, pulse=pulse)
+    N = model.dim
+
+    def rhs(t, y):
+        return (-1j * model.hamiltonian(channels, t)
+                @ y.reshape(N, N)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, pulse.T), np.eye(N, dtype=complex).ravel(),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    full = sol.y[:, -1].reshape(N, N)
+    src = list(pl.source_subspace(model.basis))
+    ref = pl._kernel_from_unitary(model.basis, full[:, src])
+    got = pl.pulse_kernel(model, pulse, rtol=1e-12, atol=1e-14)
+    assert np.abs(got.propagated - ref.propagated).max() < 1e-9
+
+
+def test_protocol_kernels_build_one_model(monkeypatch):
+    from seqphoton import goat
+    rng = np.random.default_rng(2)
+    pulse = goat.PulseParams(rng.normal(scale=0.4, size=(goat.N_COMP, 3)),
+                             rng.uniform(0.2, 1.0, goat.N_COMP), T=0.5)
+    calls = []
+    build = pl.build_effective_model
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "build_effective_model", counted)
+    cfg = pl.ProtocolConfig(pulse=pulse, gamma_r=2e-3, gamma_phi=1e-3,
+                            slack=0)
+    pl.protocol_kernels(cfg, FockBasis(cfg.truncation()))
+    assert len(calls) == 1
 
 
 # xi fitting -----------------------------------------------------------------
