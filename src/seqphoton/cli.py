@@ -35,7 +35,8 @@ from .mps import build_cluster
 from .pipeline import (DEFAULT_FINESSE, ErrorBudget, ProtocolConfig,
                        RetrievalCache, fidelity_curve, fit_xi,
                        geometry_optimize, scaling_exponents)
-from .retrieval import multiport_scan, retrieval_report
+from .retrieval import (DetectionMode, default_waists, multiport_scan,
+                        retrieval_report)
 
 log = logging.getLogger("seqphoton.cli")
 
@@ -562,7 +563,9 @@ def _run_retrieval(config: RunConfig) -> tuple[list[str], dict]:
     for L_z in p["L_z"]:
         for L_v in p["L_v"]:
             geo = ArrayGeometry(L_v, L_v, L_z, spacing)
-            rep = retrieval_report(geo, p["kind"], w0=w0, theta=p["theta"])
+            waists = default_waists(geo) if w0 is None else [w0]
+            modes = [DetectionMode(p["kind"], w, p["theta"]) for w in waists]
+            rep = retrieval_report(geo, modes)
             rows.append((L_v, L_z, rep.w0 * lam, rep.w0_opt * lam,
                          rep.eps_gauss, rep.eps_opt))
     write_csv(os.path.join(config.outdir, "retrieval.csv"),

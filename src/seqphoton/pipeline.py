@@ -720,17 +720,13 @@ class RetrievalCache:
         if kind == "two-port":
             if L_z != 1:
                 raise ValueError("the two-port scheme requires L_z = 1")
-            best = None
-            for w0 in default_waists(geo):
-                theta0 = 1.0 / (math.pi * w0)     # beam divergence angle
-                rep = retrieval_report(geo, "tilted-pair", w0=float(w0),
-                                       theta=theta0)
-                eps = rep.eps_opt if self.profile == "optimal" else \
-                    rep.eps_gauss
-                if best is None or eps < best:
-                    best = eps
-            return float(best)
-        rep = retrieval_report(geo, kind)
+            # tilted pairs at the beam divergence angle 1/(pi w0)
+            modes = [DetectionMode("tilted-pair", float(w0),
+                                   1.0 / (math.pi * w0))
+                     for w0 in default_waists(geo)]
+        else:
+            modes = [DetectionMode(kind, w0) for w0 in default_waists(geo)]
+        rep = retrieval_report(geo, modes)
         return float(rep.eps_opt if self.profile == "optimal"
                      else rep.eps_gauss)
 

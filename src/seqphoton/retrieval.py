@@ -8,8 +8,9 @@ u, the probability to emit into a chosen detection mode is
 
 where S_lambda = (3/2pi) lambda_eg^2 is the resonant cross-section, F_det
 normalizes the detection mode, and the Hermitian matrix K is assembled from
-the transpose-diagonalized dipole-dipole coupling matrix M and the overlaps
-of its collective modes with the detection field.
+the dipole-dipole coupling matrix M and the detection field: it solves the
+Sylvester equation M^dag K - K M = -i E E^dag, from one complex Schur form
+of M per array (Bartels-Stewart).
 
 Units: lengths in lambda_eg (k0 = 2*pi), rates in Gamma_em.  The detection
 modes are vector Gaussian beams built from angular-spectrum integrals over
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_sylvester, sqrtm
+from scipy.linalg import schur
+from scipy.linalg.lapack import ztrsyl
 from scipy.special import j0, j1
 
 from .geometry import K0, ArrayGeometry
@@ -68,6 +71,20 @@ def _pairwise_green_xx(positions: np.ndarray, d: np.ndarray, k0: float) -> np.nd
     return G
 
 
+def _array_sites(geometry, positions: np.ndarray | None = None):
+    """(positions, unit dipole polarization) of an ArrayGeometry (its own
+    positions, drawn without jitter, unless `positions` is given) or of an
+    explicit (N, 3) position array of x-polarized dipoles."""
+    if isinstance(geometry, ArrayGeometry):
+        pol = geometry.polarization
+        if positions is None:
+            positions = geometry.positions()
+    else:
+        positions, pol = geometry, (1.0, 0.0, 0.0)
+    pol = np.asarray(pol, dtype=float)
+    return np.asarray(positions, dtype=float), pol / np.linalg.norm(pol)
+
+
 def coupling_matrix(geometry, positions: np.ndarray | None = None,
                     k0: float = K0) -> np.ndarray:
     """Complex symmetric coupling matrix M_jl = 3 pi k0^-1 d*.G0.d, M_jj = i/2.
@@ -76,59 +93,10 @@ def coupling_matrix(geometry, positions: np.ndarray | None = None,
     single-atom Lamb shift is dropped.  `geometry` may be an ArrayGeometry
     (positions drawn without jitter) or an explicit (N, 3) position array.
     """
-    if isinstance(geometry, ArrayGeometry):
-        pol = np.asarray(geometry.polarization, dtype=float)
-        if positions is None:
-            positions = geometry.positions()
-    else:
-        positions = np.asarray(geometry, dtype=float)
-        pol = np.array([1.0, 0.0, 0.0])
-    pol = pol / np.linalg.norm(pol)
+    positions, pol = _array_sites(geometry, positions)
     M = 3.0 * np.pi / k0 * _pairwise_green_xx(positions, pol, k0)
     M[np.diag_indices_from(M)] = 0.5j
     return M
-
-
-def transpose_diagonalize(M: np.ndarray, tol: float = 1e-8):
-    """Eigen decomposition of a complex symmetric M with v_xi^T v_xi' = delta.
-
-    Returns (eigenvalues, V) with modes in the columns of V, normalized under
-    the bilinear (not Hermitian) inner product so that V V^T = I.  Degenerate
-    groups are re-orthonormalized under the bilinear form.  Raises ValueError
-    if the matrix is defective (completeness residual above `tol`).
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    if np.abs(M - M.T).max() > 1e-10 * max(np.abs(M).max(), 1.0):
-        raise ValueError("M must be complex symmetric")
-    lam, V = np.linalg.eig(M)
-    order = np.lexsort((lam.imag, lam.real))
-    lam, V = lam[order], V[:, order]
-    scale = max(np.abs(lam).max(), 1.0)
-    # group (near-)degenerate eigenvalues and orthonormalize each group
-    # under the bilinear form using the inverse square root of the Gram block
-    groups, start = [], 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or abs(lam[i] - lam[i - 1]) > 1e-9 * scale:
-            groups.append(slice(start, i))
-            start = i
-    for grp in groups:
-        W = V[:, grp]
-        G = W.T @ W
-        if W.shape[1] == 1:
-            V[:, grp] = W / np.sqrt(G[0, 0])
-        else:
-            V[:, grp] = W @ np.linalg.inv(sqrtm(G).astype(complex))
-    residual = np.abs(V @ V.T - np.eye(len(lam))).max()
-    if residual > tol:
-        raise ValueError(
-            f"defective coupling matrix: completeness residual {residual:.2e}")
-    recon = np.abs((V * lam) @ V.T - M).max()
-    if recon > tol * scale:
-        raise ValueError(
-            f"defective coupling matrix: reconstruction residual {recon:.2e}")
-    return lam, V
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +129,16 @@ class DetectionMode:
             raise ValueError("tilt angle guard: |theta| < pi/3")
 
 
-def _gauss_nodes(n: int, a: float, b: float):
+@lru_cache(maxsize=None)
+def _gauss_nodes(n: int):
+    """n-point Gauss-Legendre rule on (0, pi/2), built once per n and
+    returned read-only (the quadratures use n = 64 ... 4096)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    half = 0.5 * (np.pi / 2)
+    u, w = half * x + half, half * w
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
 
 
 def _beam_integrals(rho: np.ndarray, z: np.ndarray, w0: float,
@@ -189,7 +164,7 @@ def _beam_integrals(rho: np.ndarray, z: np.ndarray, w0: float,
 
 def _beam_integrals_chunk(rho, z, w0, tol):
     def eval_rule(n):
-        u, w = _gauss_nodes(n, 0.0, np.pi / 2)
+        u, w = _gauss_nodes(n)
         b, c = np.sin(u), np.cos(u)
         g = np.exp(-((b * K0 * w0 / 2.0) ** 2))
         phase = np.exp(1j * K0 * np.outer(z, c))
@@ -266,7 +241,7 @@ def mode_norm(mode: DetectionMode, tol: float = 1e-6) -> float:
     """
 
     def rule(n):
-        u, w = _gauss_nodes(n, 0.0, np.pi / 2)
+        u, w = _gauss_nodes(n)
         b, c = np.sin(u), np.cos(u)
         g2 = np.exp(-(b * K0 * mode.w0) ** 2 / 2.0)
         # db b (1 - b^2/2)/sqrt(1-b^2) -> du sin(u) (1 - sin(u)^2/2)
@@ -298,48 +273,65 @@ def _doubling_limit(rule, n0: int, n_max: int, tol: float) -> float:
 # Retrieval efficiency
 # ---------------------------------------------------------------------------
 
-def _k_from_coupling(M: np.ndarray, E_site: np.ndarray) -> np.ndarray:
-    """Time-integrated emission overlap matrix K for coupling matrix M.
+def _schur_form(M: np.ndarray):
+    """Complex Schur form M = Z T Z^dag of a coupling matrix, as (T, Z).
+
+    diag T holds the eigenvalues lam_xi of M, so the collective decay rates
+    in the denominators of K are checked here, once per matrix.
+    """
+    T, Z = schur(M, output="complex")
+    if np.abs(np.diag(T).imag).min() <= 1e-12:
+        raise ValueError("vanishing collective decay rate in K denominator")
+    return T, Z
+
+
+def _k_from_schur(schur_form, E_site: np.ndarray) -> np.ndarray:
+    """Time-integrated emission overlap matrix K for a factored M = Z T Z^dag.
 
     K equals the collective-mode double sum
     i sum_{xi,xi'} v_{xi,j} v_{xi',l}* E_xi* E_xi' / (lam_xi - lam_xi'*),
     which is the unique solution of the Sylvester equation
-    M^dag K - K M = -i E E^dag; the Schur-based solve avoids amplifying
-    eigenvector error on strongly subradiant (nearly dark) modes.
+    M^dag K - K M = -i E E^dag.  With e = Z^dag E, Y = Z^dag K Z solves the
+    triangular T^dag Y - Y T = -i e e^dag (LAPACK ztrsyl, Bartels-Stewart);
+    working in the unitary Schur basis avoids amplifying eigenvector error
+    on strongly subradiant (nearly dark) modes.
     """
-    if np.abs(np.linalg.eigvals(M).imag).min() <= 1e-12:
-        raise ValueError("vanishing collective decay rate in K denominator")
-    Q = -1j * np.outer(E_site, np.conj(E_site))
-    K = solve_sylvester(np.conj(M).T, -M, Q)
+    T, Z = schur_form
+    e = np.conj(Z).T @ E_site
+    Y, scale, info = ztrsyl(T, T, -1j * np.outer(e, np.conj(e)),
+                            trana="C", isgn=-1)
+    if info != 0:
+        raise ValueError(f"triangular Sylvester solve failed (info {info})")
+    K = Z @ (Y / scale) @ np.conj(Z).T
     herm = np.abs(K - np.conj(K).T).max()
     if herm > 1e-10 * max(np.abs(K).max(), 1e-30):
         raise ValueError(f"K failed the Hermiticity audit: {herm:.2e}")
     return 0.5 * (K + np.conj(K).T)
 
 
+def _unit_profile(E_site: np.ndarray) -> np.ndarray:
+    """Gaussian profile u = E / |E| of the detection field on the sites."""
+    norm = np.linalg.norm(E_site)
+    if not norm >= 1e-300:
+        raise ValueError("detection mode has zero overlap with the array")
+    return E_site / norm
+
+
 def k_matrix(geometry, mode: DetectionMode,
              positions: np.ndarray | None = None) -> np.ndarray:
     """Hermitian retrieval matrix K for the array and detection mode."""
-    if isinstance(geometry, ArrayGeometry):
-        pol = np.asarray(geometry.polarization, dtype=float)
-        if positions is None:
-            positions = geometry.positions()
-    else:
-        positions = np.asarray(geometry, dtype=float)
-        pol = np.array([1.0, 0.0, 0.0])
-    pol = pol / np.linalg.norm(pol)
-    M = coupling_matrix(positions)
-    E_site = detection_field(mode, positions) @ pol
-    return _k_from_coupling(M, E_site)
+    positions, pol = _array_sites(geometry, positions)
+    M = coupling_matrix(geometry, positions)
+    return _k_from_schur(_schur_form(M), detection_field(mode, positions) @ pol)
 
 
 def retrieval_efficiency(u: np.ndarray, K: np.ndarray, F_det: float) -> float:
     """p_em = (S_lambda / 4 F_det) u^dag K u for a normalized profile u."""
     u = np.asarray(u, dtype=complex)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(u) - 1.0) <= 1e-8:
         raise ValueError("profile u must be normalized")
     p = S_LAMBDA / (4.0 * F_det) * float(np.real(np.conj(u) @ K @ u))
-    if p < -1e-9 or p > 1.0 + 1e-9:
+    if not -1e-9 <= p <= 1.0 + 1e-9:
         raise ValueError(f"retrieval efficiency {p} outside [0, 1]")
     return p
 
@@ -363,19 +355,8 @@ def gaussian_profile(geometry, mode: DetectionMode,
     This is the phase-matched profile for emission into the mode under the
     amplitude convention of `k_matrix` (overlap amplitude E^dag c(t)).
     """
-    if isinstance(geometry, ArrayGeometry):
-        pol = np.asarray(geometry.polarization, dtype=float)
-        if positions is None:
-            positions = geometry.positions()
-    else:
-        positions = np.asarray(geometry, dtype=float)
-        pol = np.array([1.0, 0.0, 0.0])
-    pol = pol / np.linalg.norm(pol)
-    u = detection_field(mode, positions) @ pol
-    norm = np.linalg.norm(u)
-    if norm < 1e-300:
-        raise ValueError("detection mode has zero overlap with the array")
-    return u / norm
+    positions, pol = _array_sites(geometry, positions)
+    return _unit_profile(detection_field(mode, positions) @ pol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +365,12 @@ def gaussian_profile(geometry, mode: DetectionMode,
 
 @dataclass(frozen=True)
 class RetrievalReport:
-    """Retrieval efficiencies of one array/mode combination.
+    """Retrieval efficiencies of one array over a scan of detection modes.
 
-    Each profile is quoted at its own best waist from the scan: w0 minimizes
-    the Gaussian-profile error (K and F_det are stored for that waist) and
-    w0_opt minimizes the optimal-profile error.
+    Each profile is quoted at its own best mode from the scan: kind, theta
+    and w0 are those of the mode that minimizes the Gaussian-profile error
+    (K and F_det are stored for it), and w0_opt is the waist of the mode
+    that minimizes the optimal-profile error.
     """
 
     kind: str
@@ -418,50 +400,44 @@ def default_waists(geometry: ArrayGeometry) -> np.ndarray:
     return geometry.d0 * np.arange(1.0, upper + 1e-9, 0.25)
 
 
-def retrieval_report(geometry: ArrayGeometry, kind: str,
-                     w0: float | None = None, theta: float = 0.0,
+def retrieval_report(geometry: ArrayGeometry, modes,
                      positions: np.ndarray | None = None) -> RetrievalReport:
-    """Full retrieval report; scans the default waists when w0 is None.
+    """Full retrieval report over a scan of detection modes.
 
-    Each profile takes the waist that minimizes its own error over the scan.
+    M is built and Schur-factored once; each profile takes the mode that
+    minimizes its own error over the scan.
     """
-    if positions is None:
-        positions = geometry.positions()
-    pol = np.asarray(geometry.polarization, dtype=float)
-    pol = pol / np.linalg.norm(pol)
-    M = coupling_matrix(geometry, positions=positions)
-    waists = [w0] if w0 is not None else default_waists(geometry)
+    positions, pol = _array_sites(geometry, positions)
+    schur_form = _schur_form(coupling_matrix(geometry, positions))
     best_g = best_o = None
-    for w in waists:
-        mode = DetectionMode(kind, w, theta)
+    for mode in modes:
         F = mode_norm(mode)
         E_site = detection_field(mode, positions) @ pol
-        K = _k_from_coupling(M, E_site)
-        norm = np.linalg.norm(E_site)
-        if norm < 1e-300:
-            raise ValueError("detection mode has zero overlap with the array")
-        u_g = E_site / norm
+        K = _k_from_schur(schur_form, E_site)
+        u_g = _unit_profile(E_site)
         p_g = retrieval_efficiency(u_g, K, F)
         if best_g is None or p_g > best_g[0]:
-            best_g = (p_g, w, F, K, u_g)
+            best_g = (p_g, mode, F, K, u_g)
         u_o, p_o = optimal_profile(K, F)
         if best_o is None or p_o > best_o[0]:
-            best_o = (p_o, w, u_o)
-    p_g, w_g, F, K, u_g = best_g
+            best_o = (p_o, mode.w0, u_o)
+    if best_g is None:
+        raise ValueError("retrieval_report needs at least one detection mode")
+    p_g, mode, F, K, u_g = best_g
     p_o, w_o, u_o = best_o
-    return RetrievalReport(kind=kind, theta=theta, w0=w_g, w0_opt=w_o,
-                           F_det=F, K=K, p_opt=p_o, p_gauss=p_g,
+    return RetrievalReport(kind=mode.kind, theta=mode.theta, w0=mode.w0,
+                           w0_opt=w_o, F_det=F, K=K, p_opt=p_o, p_gauss=p_g,
                            u_opt=u_o, u_gauss=u_g)
 
 
-def _gaussian_efficiency(positions: np.ndarray, pol: np.ndarray,
+def _gaussian_efficiency(geometry: ArrayGeometry, positions: np.ndarray | None,
                          mode: DetectionMode, F_det: float) -> float:
-    """Gaussian-profile p_em for explicit positions (defect/thermal loops)."""
-    M = coupling_matrix(positions)
+    """Gaussian-profile p_em at the given (or the array's own) positions,
+    for the defect/thermal loops."""
+    positions, pol = _array_sites(geometry, positions)
     E_site = detection_field(mode, positions) @ pol
-    K = _k_from_coupling(M, E_site)
-    u = E_site / np.linalg.norm(E_site)
-    return retrieval_efficiency(u, K, F_det)
+    K = _k_from_schur(_schur_form(coupling_matrix(geometry, positions)), E_site)
+    return retrieval_efficiency(_unit_profile(E_site), K, F_det)
 
 
 @dataclass(frozen=True)
@@ -488,12 +464,10 @@ def defect_study(geometry: ArrayGeometry, mode: DetectionMode,
     fractions = np.asarray(fractions, dtype=float)
     if fractions.max() > 0.2 + 1e-12:
         raise ValueError("defect fractions above the 0.2 guard")
-    pol = np.asarray(geometry.polarization, dtype=float)
-    pol = pol / np.linalg.norm(pol)
+    full_pos, pol = _array_sites(geometry)
     F_det = mode_norm(mode)
-    full_pos = geometry.positions()
     E_full = np.abs(detection_field(mode, full_pos) @ pol) ** 2
-    p0 = _gaussian_efficiency(full_pos, pol, mode, F_det)
+    p0 = _gaussian_efficiency(geometry, full_pos, mode, F_det)
     pts = []
     for fi, frac in enumerate(fractions):
         for k in range(n_realizations):
@@ -501,7 +475,7 @@ def defect_study(geometry: ArrayGeometry, mode: DetectionMode,
             damaged = geometry.with_defects(frac, rng)
             mask = damaged.occupied
             overlap = E_full[~mask].sum() / E_full.sum()
-            p = _gaussian_efficiency(full_pos[mask], pol, mode, F_det)
+            p = _gaussian_efficiency(geometry, full_pos[mask], mode, F_det)
             pts.append((overlap, (p0 - p) / p0))
     pts = np.array(pts)
     edges = np.linspace(0.0, pts[:, 0].max() * (1 + 1e-12), n_bins + 1)
@@ -538,10 +512,8 @@ def thermal_study(geometry: ArrayGeometry, mode: DetectionMode,
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.max() > 0.25:
         raise ValueError("sigma_th/d0 above the 0.25 guard")
-    pol = np.asarray(geometry.polarization, dtype=float)
-    pol = pol / np.linalg.norm(pol)
     F_det = mode_norm(mode)
-    p0 = _gaussian_efficiency(geometry.positions(), pol, mode, F_det)
+    p0 = _gaussian_efficiency(geometry, None, mode, F_det)
     delta = np.zeros(sigmas.size)
     for si, sig in enumerate(sigmas):
         jittered = dataclasses.replace(geometry, jitter_sigma=float(sig))
@@ -549,7 +521,7 @@ def thermal_study(geometry: ArrayGeometry, mode: DetectionMode,
         for k in range(n_realizations):
             rng = np.random.default_rng([seed, si, k])
             pos = jittered.positions(rng)
-            drops.append(p0 - _gaussian_efficiency(pos, pol, mode, F_det))
+            drops.append(p0 - _gaussian_efficiency(geometry, pos, mode, F_det))
         delta[si] = np.mean(drops) if sig > 0 else 0.0
     fit = sigmas > 0  # sigma = 0 contributes delta_p = 0 but no log-log point
     slope, intercept = np.polyfit(np.log(sigmas[fit]), np.log(delta[fit]), 1)
@@ -569,16 +541,13 @@ def multiport_scan(geometry: ArrayGeometry, angles, w0: float) -> np.ndarray:
     angles = np.asarray(angles, dtype=float)
     if np.abs(angles).max() >= np.pi / 3:
         raise ValueError("tilt angle guard: |theta| < pi/3")
-    positions = geometry.positions()
-    pol = np.asarray(geometry.polarization, dtype=float)
-    pol = pol / np.linalg.norm(pol)
-    M = coupling_matrix(geometry, positions=positions)
+    positions, pol = _array_sites(geometry)
+    schur_form = _schur_form(coupling_matrix(geometry, positions))
     rows = []
     for theta in angles:
         mode = DetectionMode("tilted-pair", w0, float(theta))
-        F = mode_norm(mode)
         E_site = detection_field(mode, positions) @ pol
-        K = _k_from_coupling(M, E_site)
-        u = E_site / np.linalg.norm(E_site)
-        rows.append((float(theta), 1.0 - retrieval_efficiency(u, K, F)))
+        K = _k_from_schur(schur_form, E_site)
+        p = retrieval_efficiency(_unit_profile(E_site), K, mode_norm(mode))
+        rows.append((float(theta), 1.0 - p))
     return np.array(rows)

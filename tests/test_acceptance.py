@@ -285,7 +285,9 @@ def test_criterion_06b_mpdo_vs_dense_with_pulse(cluster_pulse):
 @pytest.mark.slow
 def test_criterion_07_retrieval_scalings(optimal_table, gaussian_table):
     # spot-check one shipped entry against a live recomputation
-    rep = rt.retrieval_report(ArrayGeometry(6, 6, 2, 0.6), "uni")
+    geo = ArrayGeometry(6, 6, 2, 0.6)
+    rep = rt.retrieval_report(geo, [rt.DetectionMode("uni", w0)
+                                    for w0 in rt.default_waists(geo)])
     ok_spot = (abs(rep.eps_opt - optimal_table[("uni", 6, 2)]) <= 1e-10
                and abs(rep.eps_gauss - gaussian_table[("uni", 6, 2)])
                <= 1e-10)
@@ -348,7 +350,7 @@ def test_criterion_09_multiport():
     theta0 = 1.0 / (math.pi * w0)
     angles = [0.0, 0.5 * theta0, theta0, 1.5 * theta0, 2.0 * theta0]
     scan = rt.multiport_scan(geo, angles, w0)
-    rep = rt.retrieval_report(geo, "two-directional", w0=w0)
+    rep = rt.retrieval_report(geo, [rt.DetectionMode("two-directional", w0)])
     match = abs(scan[0, 1] - rep.eps_gauss)
     nondecreasing = bool(np.all(np.diff(scan[:, 1]) >= -1e-12))
     report(9, "multi-port error nondecreasing; theta = 0 matches the "

@@ -1,8 +1,13 @@
 """Photon retrieval: Green's tensor, collective modes, detection modes, K."""
 
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_sylvester
 
+from seqphoton import pipeline as pl
 from seqphoton import retrieval as rt
 from seqphoton.geometry import K0, ArrayGeometry
 
@@ -51,28 +56,9 @@ def test_coupling_matrix_symmetric_and_cross_checked():
     assert abs(M[0, 1] - expected) < 1e-12
 
 
-def test_transpose_diagonalize_diagonal_matrix():
-    d = np.array([0.3 + 0.5j, -0.2 + 1.0j, 1.1 + 0.1j])
-    lam, V = rt.transpose_diagonalize(np.diag(d))
-    assert np.allclose(sorted(lam, key=lambda z: z.real),
-                       sorted(d, key=lambda z: z.real))
-    # canonical basis vectors up to order and sign
-    assert np.abs(np.abs(V) - np.eye(3)[np.argsort(np.abs(V).argmax(0))]).max() < 1e-12
-
-
-def test_transpose_diagonalize_reconstruction():
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    M = (A + A.T) / 2
-    lam, V = rt.transpose_diagonalize(M)
-    assert np.abs(V @ V.T - np.eye(6)).max() <= 1e-8
-    assert np.abs((V * lam) @ V.T - M).max() <= 1e-8
-    assert np.abs(M @ V - V * lam).max() <= 1e-8
-
-
 def test_collective_decay_rates_nonnegative():
     for geo in (ArrayGeometry(4, 4, 1, 0.6), ArrayGeometry(3, 3, 2, 0.6)):
-        lam, _ = rt.transpose_diagonalize(rt.coupling_matrix(geo))
+        lam = np.linalg.eigvals(rt.coupling_matrix(geo))
         assert lam.imag.min() >= -1e-9
 
 
@@ -171,10 +157,96 @@ def test_efficiency_requires_normalized_profile():
         rt.retrieval_efficiency(np.array([1.0, 1.0]), K, 1.0)
 
 
+def test_efficiency_rejects_nan_profile():
+    K = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError):
+        rt.retrieval_efficiency(np.array([np.nan, 0.0]), K, 1.0)
+
+
+def _solver_cases():
+    rng = np.random.default_rng(4)
+    w0 = 0.9
+    tilted = rt.DetectionMode("tilted-pair", w0, 1.0 / (math.pi * w0))
+    damaged = ArrayGeometry(6, 6, 1, 0.6).with_defects(0.1, rng)
+    jittered = ArrayGeometry(5, 5, 1, 0.6, jitter_sigma=0.05)
+    return [
+        (ArrayGeometry(4, 4, 2, 0.6), rt.DetectionMode("uni", w0), None),
+        (ArrayGeometry(8, 8, 1, 0.6),
+         rt.DetectionMode("two-directional", 1.2), None),
+        (ArrayGeometry(6, 6, 1, 0.6), tilted, None),
+        (damaged, rt.DetectionMode("two-directional", w0), None),
+        (jittered, rt.DetectionMode("two-directional", w0),
+         jittered.positions(rng)),
+        # M and E both use the array's own dipole orientation
+        (ArrayGeometry(4, 4, 1, 0.6, polarization=(1.0, 1.0, 0.0)),
+         rt.DetectionMode("two-directional", w0), None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_schur_k_matches_solve_sylvester(case):
+    geo, mode, pos = _solver_cases()[case]
+    if pos is None:
+        pos = geo.positions()
+    M = rt.coupling_matrix(geo, pos)
+    pol = np.asarray(geo.polarization) / np.linalg.norm(geo.polarization)
+    E = rt.detection_field(mode, pos) @ pol
+    oracle = solve_sylvester(np.conj(M).T, -M, -1j * np.outer(E, np.conj(E)))
+    K = rt.k_matrix(geo, mode, pos)
+    assert np.abs(K - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_vanishing_decay_rate_guard():
+    with pytest.raises(ValueError, match="vanishing collective decay"):
+        rt._schur_form(np.diag([0.5j, 1.0]).astype(complex))
+
+
+def test_two_port_builds_one_coupling_matrix(monkeypatch):
+    calls = []
+    build = rt.coupling_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rt, "coupling_matrix", counting)
+    data = resources.files("seqphoton") / "data"
+    for profile in ("optimal", "gaussian"):
+        table = pl.RetrievalCache(
+            path=str(data / f"retrieval_{profile}.csv")).entries
+        calls.clear()
+        eps = pl.RetrievalCache(path=None, profile=profile).error(
+            "two-port", 4, 1)
+        assert len(calls) == 1
+        assert abs(eps - table[("two-port", 4, 1)]) <= 1e-10
+
+
+def test_gauss_rule_built_once_per_node_count(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        built.append(n)
+        return leggauss(n)
+
+    rt._gauss_nodes.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    pos = ArrayGeometry(3, 3, 2, 0.6).positions()
+    for _ in range(2):
+        for w0 in (0.6, 0.9, 1.2):
+            mode = rt.DetectionMode("two-directional", w0)
+            rt.mode_norm(mode)
+            rt.detection_field(mode, pos)
+    assert built and len(built) == len(set(built))
+    u, w = rt._gauss_nodes(built[0])
+    assert not u.flags.writeable and not w.flags.writeable
+
+
 def test_bounds_optimality_and_scheme_ordering():
     geo = ArrayGeometry(5, 5, 1, 0.6)
-    rep_uni = rt.retrieval_report(geo, "uni", w0=0.9)
-    rep_two = rt.retrieval_report(geo, "two-directional", w0=0.9)
+    rep_uni = rt.retrieval_report(geo, [rt.DetectionMode("uni", 0.9)])
+    rep_two = rt.retrieval_report(
+        geo, [rt.DetectionMode("two-directional", 0.9)])
     for rep in (rep_uni, rep_two):
         assert 0.0 <= rep.p_gauss <= rep.p_opt <= 1.0
     # the uni mode discards the backward field
@@ -203,7 +275,8 @@ def test_two_directional_equals_tilted_pair_at_zero_angle():
     E_tilt = rt.detection_field(rt.DetectionMode("tilted-pair", 0.9, 0.0), pos)
     assert np.abs(E_two - E_tilt).max() <= 1e-12
     scan = rt.multiport_scan(geo, [0.0], 0.9)
-    rep = rt.retrieval_report(geo, "two-directional", w0=0.9)
+    rep = rt.retrieval_report(
+        geo, [rt.DetectionMode("two-directional", 0.9)])
     assert abs(scan[0, 1] - rep.eps_gauss) <= 1e-12
 
 
