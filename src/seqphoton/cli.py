@@ -31,7 +31,6 @@ from . import __version__ as _pkg_version
 from . import goat
 from .geometry import ArrayGeometry
 from .lindblad import RateSpec, raman_benchmark
-from .mps import build_cluster
 from .pipeline import (DEFAULT_FINESSE, ErrorBudget, ProtocolConfig,
                        RetrievalCache, fidelity_curve, fit_xi,
                        geometry_optimize, scaling_exponents)
@@ -543,7 +542,7 @@ def _run_protocol_fidelity(config: RunConfig) -> tuple[list[str], dict]:
                            gamma_r=p["gamma_r"], gamma_phi=p["gamma_phi"],
                            U=p["U"], p_em=p["p_em"], N_atoms=p["N_atoms"],
                            rtol=p["rtol"], atol=p["atol"])
-    ns, fs = fidelity_curve(proto, n_max=p["n_max"], family=build_cluster)
+    ns, fs = fidelity_curve(proto, n_max=p["n_max"])
     fit = fit_xi(ns, fs) if np.all(fs > 0) else None
     write_csv(os.path.join(config.outdir, "protocol_fidelity.csv"),
               ["n (photons)", "F_ph (1)"], list(zip(ns, fs)))

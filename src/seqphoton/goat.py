@@ -11,6 +11,11 @@ block-triangular equation of motion, and the cost
 
 rewards reproducing the target isometry block V' and suppressing the leakage
 block O' out of the source space.
+
+Parameter layout: an (N_COMP, j_max + 1) array, one row per component in
+COMPONENTS order holding the j_max Fourier amplitudes and then the base
+frequency.  The flat parameter vector and every gradient are that array
+raveled in C order.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from importlib import resources
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
+from scipy.special import expit
 
 from .collective import FockBasis, control_pieces
 from .mps import IsometryTarget
@@ -65,37 +71,31 @@ class PulseParams:
         return N_COMP * (self.j_max + 1)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically safe logistic
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _ansatz(params: PulseParams, t: float):
+    """The pieces every component evaluation at t shares: the phases
+    w_c j t, their sines, the logistic S1 of f and the envelope S2."""
+    phase = np.outer(params.freqs, np.arange(1, params.j_max + 1)) * t
+    sin = np.sin(phase)
+    s = expit(params.g1 * (params.amplitudes * sin).sum(axis=1) / params.b)
+    s2 = 1.0 - 2.0 / (1.0 + np.exp(params.g2_value * (params.T - t)))
+    return phase, sin, s, s2
 
 
 def component_values(params: PulseParams, t: float) -> np.ndarray:
     """All six component amplitudes at time t."""
-    j = np.arange(1, params.j_max + 1)
-    f = (params.amplitudes * np.sin(np.outer(params.freqs, j) * t)).sum(axis=1)
-    s = _sigmoid(params.g1 * f / params.b)
-    s2 = 1.0 - 2.0 / (1.0 + np.exp(params.g2_value * (params.T - t)))
+    _, _, s, s2 = _ansatz(params, t)
     return params.b * (2.0 * s - 1.0) * s2
 
 
 def component_values_and_grads(params: PulseParams, t: float):
-    """Component values plus d(value)/d(A_j) and d(value)/d(w)."""
-    j = np.arange(1, params.j_max + 1)
-    phase = np.outer(params.freqs, j) * t           # (n_comp, j_max)
-    f = (params.amplitudes * np.sin(phase)).sum(axis=1)
-    s = _sigmoid(params.g1 * f / params.b)
-    s2 = 1.0 - 2.0 / (1.0 + np.exp(params.g2_value * (params.T - t)))
+    """Component values and their parameter derivatives dv, shaped
+    (N_COMP, j_max + 1) in the parameter layout: d/dA_j, then d/dw."""
+    phase, sin, s, s2 = _ansatz(params, t)
     vals = params.b * (2.0 * s - 1.0) * s2
-    ds1_df = 2.0 * params.g1 * s * (1.0 - s)        # dS1/df
-    dv_dA = (ds1_df * s2)[:, None] * np.sin(phase)
-    dv_dw = ds1_df * s2 * (params.amplitudes * j * t * np.cos(phase)).sum(axis=1)
-    return vals, dv_dA, dv_dw
+    slope = 2.0 * params.g1 * s * (1.0 - s) * s2          # dv/df
+    j = np.arange(1, params.j_max + 1)
+    df_dw = (params.amplitudes * j * t * np.cos(phase)).sum(axis=1)
+    return vals, slope[:, None] * np.column_stack((sin, df_dw))
 
 
 def channel_amplitudes(params: PulseParams, t: float) -> dict[str, complex]:
@@ -117,32 +117,26 @@ def propagate_with_gradient(params: PulseParams, basis: FockBasis,
     """Propagator U(T) and its derivatives dU/d(param) on the truncated basis.
 
     Resonant channels only (drive-frame H = sum_c v_c(t) * M_c with the
-    constant control pieces M_c of collective.control_pieces).  Parameter
-    packing: per component, the j_max Fourier amplitudes then the base
-    frequency; components in the order of COMPONENTS.  Returns (U, dU) with
-    dU shaped (n_params, N, N).
+    constant control pieces M_c of collective.control_pieces).  Returns
+    (U, dU) with dU shaped (n_params, N, N), parameters in the layout of the
+    module docstring.
     """
     N = basis.dim
-    mats = control_pieces(basis)
+    mats = -1j * control_pieces(basis)      # -i M_c: no final -i in the RHS
     flat = mats.reshape(N_COMP, -1)
     P = params.n_params
-    jp1 = params.j_max + 1
 
     def rhs(t, y):
         Y = y.reshape(P + 1, N, N)
-        vals, dv_dA, dv_dw = component_values_and_grads(params, t)
+        vals, dv = component_values_and_grads(params, t)
         H = (vals @ flat).reshape(N, N)
         out = np.empty_like(Y)
-        U = Y[0]
-        stacked = H @ Y.reshape(P + 1, N, N).transpose(1, 0, 2).reshape(N, -1)
+        stacked = H @ Y.transpose(1, 0, 2).reshape(N, -1)
         out[:] = stacked.reshape(N, P + 1, N).transpose(1, 0, 2)
-        for c in range(N_COMP):
-            MU = mats[c] @ U
-            base = 1 + c * jp1
-            for k in range(params.j_max):
-                out[base + k] += dv_dA[c, k] * MU
-            out[base + params.j_max] += dv_dw[c] * MU
-        return (-1j * out).ravel()
+        # d(-iHU)/dp adds dv_p (-i M_c) U for the component c owning p.
+        derivs = out[1:].reshape(N_COMP, -1, N, N)
+        derivs += dv[:, :, None, None] * (mats @ Y[0])[:, None]
+        return out.ravel()
 
     y0 = np.zeros((P + 1, N, N), dtype=complex)
     y0[0] = np.eye(N)
@@ -170,28 +164,31 @@ def cost_and_gradient(U: np.ndarray, dU: np.ndarray | None,
                       target: IsometryTarget, basis: FockBasis,
                       penalty: float = 1.0) -> GoatCost:
     """Block cost g = 1 - |F_V|/D + (penalty/D)*||O'||_F^2 and its exact
-    parameter gradient (None gradient when dU is None)."""
+    parameter gradient (None gradient when dU is None).
+
+    Both blocks live in the D source columns: V' in the source rows, O' in
+    the rest.  W holds V_hat in the source rows and O the leakage entries,
+    so F_V = <W, U_cols> and ||O'||^2 = <O, O>, and their derivatives are
+    the same contractions against dU."""
     rows = list(target.source_rows)
     D = target.D
     cols = rows[:D]              # ancilla inputs: photon-0 block of the rows
-    comp = [i for i in range(basis.dim) if i not in set(rows)]
-    Vp = U[np.ix_(rows, cols)]
-    Op = U[np.ix_(comp, cols)]
-    F_V = complex(np.trace(target.V_hat.conj().T @ Vp))
-    F_O = float(np.real(np.trace(Op.conj().T @ Op)))
+    U_cols = U[:, cols]
+    W = np.zeros(U_cols.shape, dtype=complex)
+    W[rows] = target.V_hat
+    O = U_cols.copy()
+    O[rows] = 0.0
+    F_V = complex(np.vdot(W, U_cols))
+    F_O = float(np.vdot(O, O).real)
     g = 1.0 - abs(F_V) / D + penalty * F_O / D
     grad = None
     if dU is not None:
-        grad = np.empty(dU.shape[0])
-        Vh = target.V_hat.conj().T
-        for p in range(dU.shape[0]):
-            dVp = dU[p][np.ix_(rows, cols)]
-            dOp = dU[p][np.ix_(comp, cols)]
-            term_v = 0.0
-            if abs(F_V) > 0:
-                term_v = -np.real(np.conj(F_V) * np.trace(Vh @ dVp)) / (D * abs(F_V))
-            term_o = 2.0 * penalty * np.real(np.trace(Op.conj().T @ dOp)) / D
-            grad[p] = term_v + term_o
+        dU_cols = dU[:, :, cols]
+        dF_O = np.einsum("na,pna->p", O.conj(), dU_cols).real
+        grad = 2.0 * penalty * dF_O / D
+        if abs(F_V) > 0:
+            dF_V = np.einsum("na,pna->p", W.conj(), dU_cols)
+            grad -= np.real(np.conj(F_V) * dF_V) / (D * abs(F_V))
     return GoatCost(F_V, F_O, g, grad)
 
 
@@ -227,22 +224,12 @@ class SynthesisResult:
 
 
 def _pack(params: PulseParams) -> np.ndarray:
-    x = np.empty(params.n_params)
-    jp1 = params.j_max + 1
-    for c in range(N_COMP):
-        x[c * jp1:c * jp1 + params.j_max] = params.amplitudes[c]
-        x[c * jp1 + params.j_max] = params.freqs[c]
-    return x
+    return np.column_stack((params.amplitudes, params.freqs)).ravel()
 
 
 def _unpack(x: np.ndarray, template: PulseParams) -> PulseParams:
-    jp1 = template.j_max + 1
-    amps = np.empty((N_COMP, template.j_max))
-    freqs = np.empty(N_COMP)
-    for c in range(N_COMP):
-        amps[c] = x[c * jp1:c * jp1 + template.j_max]
-        freqs[c] = x[c * jp1 + template.j_max]
-    return replace(template, amplitudes=amps, freqs=freqs)
+    layout = np.array(x, dtype=float).reshape(N_COMP, template.j_max + 1)
+    return replace(template, amplitudes=layout[:, :-1], freqs=layout[:, -1])
 
 
 def synthesize(target: IsometryTarget, basis: FockBasis,
@@ -262,11 +249,12 @@ def synthesize(target: IsometryTarget, basis: FockBasis,
     if zero_cost.g <= 1e-12:
         return SynthesisResult(template, zero_cost.g, zero_cost.g, True, 0)
 
-    jp1 = config.j_max + 1
-    freq_slots = [c * jp1 + config.j_max for c in range(N_COMP)]
-    bounds = [(None, None)] * template.n_params
-    for slot in freq_slots:
-        bounds[slot] = (0.05, 4.0)
+    # Bounds and starts in the parameter layout; only the frequencies are
+    # bounded.
+    shape = (N_COMP, config.j_max + 1)
+    lower, upper = np.full(shape, -np.inf), np.full(shape, np.inf)
+    lower[:, -1], upper[:, -1] = 0.05, 4.0
+    bounds = Bounds(lower.ravel(), upper.ravel())
 
     def objective(x):
         p = _unpack(x, template)
@@ -278,12 +266,11 @@ def synthesize(target: IsometryTarget, basis: FockBasis,
     used = 0
     for restart in range(config.restarts):
         used = restart + 1
-        x0 = np.empty(template.n_params)
-        for c in range(N_COMP):
-            x0[c * jp1:c * jp1 + config.j_max] = rng.normal(
-                scale=0.4, size=config.j_max)
-            x0[c * jp1 + config.j_max] = rng.uniform(0.2, 1.0)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+        x0 = np.empty(shape)
+        for row in x0:           # per component: amplitudes, then frequency
+            row[:-1] = rng.normal(scale=0.4, size=config.j_max)
+            row[-1] = rng.uniform(0.2, 1.0)
+        res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
                        bounds=bounds,
                        options={"maxiter": config.max_iters, "ftol": 1e-14,
                                 "gtol": 1e-10})

@@ -414,18 +414,13 @@ class ExactModel:
         N, dim = b.N, b.dim
         # Per-atom drive weight of the profiled laser: Omega_rg is the
         # collective Rabi frequency, so atom i couples with u_i Omega_rg.
-        amp = self.u
-        Hg = lil_matrix((dim, dim), dtype=complex)
+        self.H_rg = _collective_raising(b, self.u, "r")
         Hq = lil_matrix((dim, dim), dtype=complex)
         for k, s in enumerate(b.states):
             for i in range(N):
-                up = b.raise_atom(s, i, "r")
-                if up is not None:
-                    Hg[b.index_of(up), k] += amp[i]
                 mv = b.move_atom(s, i, "q", "r")
                 if mv is not None:
                     Hq[b.index_of(mv), k] += 1.0
-        self.H_rg = Hg.tocsr()
         self.H_rq = Hq.tocsr()
         self.n_r_diag = np.array([b.n_r(s) for s in b.states], dtype=float)
         block = np.zeros(dim)

@@ -38,13 +38,12 @@ class MatrixProductState:
 
 @dataclass(frozen=True)
 class IsometryTarget:
-    """Target isometry for pulse synthesis: the (d*D, D) matrix V_hat, the
-    indices of the source-space basis states inside a FockBasis (row order
-    matching V_hat), and the leakage penalty weight."""
+    """Target isometry for pulse synthesis: the (d*D, D) matrix V_hat and
+    the indices of the source-space basis states inside a FockBasis (row
+    order matching V_hat)."""
 
     V_hat: np.ndarray
     source_rows: tuple[int, ...]
-    penalty_weight: float = 1.0
 
     def __post_init__(self):
         V = np.asarray(self.V_hat, dtype=complex)
@@ -56,8 +55,6 @@ class IsometryTarget:
             raise ValueError(f"V_hat violates the isometry condition (dev {dev:.2e})")
         if len(set(self.source_rows)) != len(self.source_rows):
             raise ValueError("source_rows must be distinct")
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be nonnegative")
         object.__setattr__(self, "V_hat", V)
 
     @property

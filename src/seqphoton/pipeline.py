@@ -328,9 +328,15 @@ def closing_kernel(model: LindbladModel) -> RoundKernel:
     N, S = basis.dim, len(src)
     # Column j of the (N^2, S^2) state is the column-stacked units[j].
     vecs = units.transpose(2, 1, 0).reshape(N * N, S * S)
-    for channels in segments:
-        vecs = expm_multiply(math.pi * constant_liouvillian(model, channels),
-                             vecs)
+    # expm_multiply's norm estimate (onenormest) draws from numpy's global
+    # RNG; put its state back so a kernel leaves the caller's draws alone.
+    rng_state = np.random.get_state()
+    try:
+        for channels in segments:
+            vecs = expm_multiply(
+                math.pi * constant_liouvillian(model, channels), vecs)
+    finally:
+        np.random.set_state(rng_state)
     out = vecs.reshape(N, N, S * S).transpose(2, 1, 0)
     return RoundKernel(basis, src,
                        np.ascontiguousarray(out).reshape(S, S, N, N))
@@ -372,7 +378,8 @@ def exact_kernel(basis: FockBasis, tensor: np.ndarray, D: int) -> RoundKernel:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """One noise setting of the sequential generation protocol.
+    """One noise setting of the sequential generation protocol for the
+    cluster family (D = d = 2).
 
     Rates and the blockade shift U are in units of the peak Rabi frequency;
     U = None is the ideal-blockade limit.  pulse = None replaces the drive
@@ -384,8 +391,6 @@ class ProtocolConfig:
     U: float | None = None
     p_em: float = 1.0
     N_atoms: int | None = None
-    D: int = 2
-    d: int = 2
     slack: int = 1
     rtol: float = 1e-8
     atol: float = 1e-10
@@ -396,20 +401,19 @@ class ProtocolConfig:
 
     @property
     def d_max(self) -> int:
-        return self.d + self.slack
+        return 2 + self.slack
 
     def truncation(self) -> TruncationSpec:
         n_r = 1 if self.U is None else 2
         mixed = 1 if self.noisy else 0
-        cap = self.d - 1 + self.slack
+        cap = 1 + self.slack
         return TruncationSpec(
             n_r, cap, cap, mixed, mixed, mixed,
             mixed_total_max=1 if mixed else None,
             rydberg_total_max=1 if self.U is None else 2)
 
     def emission_spec(self) -> EmissionSpec:
-        return EmissionSpec(self.p_em, self.D, self.d, self.d_max,
-                            self.N_atoms)
+        return EmissionSpec(self.p_em, d_max=self.d_max, N=self.N_atoms)
 
 
 def protocol_round_maps(config: ProtocolConfig,
@@ -428,16 +432,8 @@ def protocol_kernels(config: ProtocolConfig, basis: FockBasis,
     if config.pulse is None:
         if config.noisy:
             raise ValueError("noisy protocol requires a drive pulse")
-        if (config.D, config.d) != (2, 2):
-            raise NotImplementedError(
-                "exact kernels are provided for the cluster family only")
-        interior = exact_kernel(basis, CLUSTER_INTERIOR, config.D)
-        closing = exact_kernel(basis, CLUSTER_FINAL, config.D)
-        return interior, closing
-    if config.d != 2:
-        raise NotImplementedError(
-            "the analytic closing transfer covers single-quantum emission "
-            "(d = 2) only")
+        return (exact_kernel(basis, CLUSTER_INTERIOR, 2),
+                exact_kernel(basis, CLUSTER_FINAL, 2))
     model = build_effective_model(
         basis.trunc, RateSpec(config.gamma_r, config.gamma_phi, U=config.U))
     return (pulse_kernel(model, config.pulse, config.rtol, config.atol),
@@ -496,14 +492,14 @@ def photonic_fidelity(rounds, mps: MatrixProductState,
     return _closed_fidelity(X, imag_tol)
 
 
-def fidelity_curve(config: ProtocolConfig, n_max: int = 12,
-                   family=build_cluster) -> tuple[np.ndarray, np.ndarray]:
+def fidelity_curve(config: ProtocolConfig,
+                   n_max: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """F_ph for n = 1..n_max photons: n-1 interior rounds plus the closing
-    round, contracted against family(n)."""
+    round, contracted against the n-photon cluster state."""
     interior, closing, _ = protocol_round_maps(config)
     ns = np.arange(1, n_max + 1)
     Fs = np.empty(n_max)
-    ref = family(2)
+    ref = build_cluster(2)
     interior_V, final_V = ref.tensors[0], ref.tensors[-1]
     X = _initial_tensor(interior, ref)
     for n in ns:

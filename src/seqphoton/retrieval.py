@@ -516,13 +516,15 @@ def thermal_study(geometry: ArrayGeometry, mode: DetectionMode,
     p0 = _gaussian_efficiency(geometry, None, mode, F_det)
     delta = np.zeros(sigmas.size)
     for si, sig in enumerate(sigmas):
+        if sig <= 0.0:
+            continue     # no jitter: every realization repeats p0
         jittered = dataclasses.replace(geometry, jitter_sigma=float(sig))
         drops = []
         for k in range(n_realizations):
             rng = np.random.default_rng([seed, si, k])
             pos = jittered.positions(rng)
             drops.append(p0 - _gaussian_efficiency(geometry, pos, mode, F_det))
-        delta[si] = np.mean(drops) if sig > 0 else 0.0
+        delta[si] = np.mean(drops)
     fit = sigmas > 0  # sigma = 0 contributes delta_p = 0 but no log-log point
     slope, intercept = np.polyfit(np.log(sigmas[fit]), np.log(delta[fit]), 1)
     return ThermalStudy(sigmas=sigmas, delta_p=delta,

@@ -47,7 +47,8 @@ def test_component_grads_match_finite_differences():
     rng = np.random.default_rng(1)
     p = _random_params(rng)
     t = 2.37
-    vals, dv_dA, dv_dw = goat.component_values_and_grads(p, t)
+    vals, dv = goat.component_values_and_grads(p, t)
+    dv_dA, dv_dw = dv[:, :p.j_max], dv[:, p.j_max]
     assert np.allclose(vals, goat.component_values(p, t))
     eps = 1e-7
     for c in (0, 3):
@@ -131,6 +132,35 @@ def test_cost_perfect_and_leakage():
                                   penalty=1.0)
     expected_leak = sum(np.abs(P[np.ix_(comp, cols)]) ** 2)
     assert abs(leak.F_O - float(np.sum(expected_leak))) < 1e-12
+
+
+def test_cost_gradient_matches_block_loop():
+    """The contracted cost and gradient against the block formulas evaluated
+    one parameter at a time, on a random U and dU of the GHZ d=3 problem."""
+    basis, target = goat.ghz_synthesis_problem(3)
+    rng = np.random.default_rng(4)
+    N, P = basis.dim, 12
+
+    def crandn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    U, dU = crandn(N, N), crandn(P, N, N)
+    cost = goat.cost_and_gradient(U, dU, target, basis, penalty=0.7)
+    rows = list(target.source_rows)
+    cols = rows[:target.D]
+    comp = [i for i in range(N) if i not in rows]
+    Vh = target.V_hat.conj().T
+    F_V = np.trace(Vh @ U[np.ix_(rows, cols)])
+    Op = U[np.ix_(comp, cols)]
+    expected = [
+        -np.real(np.conj(F_V) * np.trace(Vh @ dUp[np.ix_(rows, cols)]))
+        / (target.D * abs(F_V))
+        + 1.4 * np.real(np.trace(Op.conj().T @ dUp[np.ix_(comp, cols)]))
+        / target.D
+        for dUp in dU]
+    assert abs(cost.F_V - F_V) <= 1e-12 * abs(F_V)
+    assert abs(cost.F_O - np.sum(np.abs(Op) ** 2)) <= 1e-12 * cost.F_O
+    assert np.allclose(cost.gradient, expected, rtol=1e-12, atol=0.0)
 
 
 def test_zero_pulse_shortcut():

@@ -217,6 +217,17 @@ def test_closing_kernel_exponential_matches_ode(gamma_r, gamma_phi, U):
     assert np.abs(ck.propagated - out.reshape(S, S, N, N)).max() < 1e-9
 
 
+def test_noisy_closing_kernel_leaves_global_rng():
+    """expm_multiply draws from numpy's global RNG; the noisy closing
+    kernel puts its state back, so the caller's next draws are unchanged."""
+    model = closing_model(2e-3, 1e-3, None)
+    np.random.seed(7)
+    expected = np.random.random(3)
+    np.random.seed(7)
+    pl.closing_kernel(model)
+    assert np.array_equal(np.random.random(3), expected)
+
+
 @pytest.mark.parametrize("gamma_r, gamma_phi", [(2e-3, 1e-3), (0.0, 0.0)],
                          ids=["noisy", "coherent"])
 def test_closing_kernel_rejects_bad_drives(gamma_r, gamma_phi, monkeypatch):

@@ -326,6 +326,23 @@ def test_thermal_study_zero_sigma_and_guard():
         rt.thermal_study(geo, mode, sigmas=(0.3,))
 
 
+def test_thermal_study_skips_zero_sigma_solves(monkeypatch):
+    """sigma = 0 needs no realization: one p0 solve plus 4 per nonzero
+    sigma."""
+    calls = []
+    solve = rt._gaussian_efficiency
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(rt, "_gaussian_efficiency", counted)
+    rt.thermal_study(ArrayGeometry(4, 4, 1, 0.6),
+                     rt.DetectionMode("two-directional", 0.9),
+                     sigmas=(0.0, 0.05, 0.1), n_realizations=4, seed=1)
+    assert len(calls) == 9
+
+
 @pytest.mark.slow
 def test_thermal_exponent_small_array():
     geo = ArrayGeometry(6, 6, 1, 0.6)
